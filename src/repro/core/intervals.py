@@ -21,7 +21,9 @@ interval ablation):
 For efficiency on multi-million-access traces, intervals are held
 column-wise in an :class:`IntervalSet` (numpy arrays) rather than as
 object lists; :class:`Interval` is the scalar view used at API edges and
-in tests.
+in tests.  Policies price an :class:`IntervalProfile` — the population's
+distinct rows with a multiplicity each — which every set builds once on
+first use.
 """
 
 from __future__ import annotations
@@ -68,7 +70,104 @@ class Interval:
         return self.kind is IntervalKind.NORMAL
 
 
-class IntervalSet:
+class IntervalProfile:
+    """An interval population compacted to its distinct rows.
+
+    Row ``i`` stands for ``counts[i]`` intervals that share the length
+    ``lengths[i]``, the kind ``kinds[i]`` and, for annotated populations,
+    the prefetch flag ``prefetchable[i]`` (``None`` when the population
+    carries no annotations).  Rows are sorted by length.  Every policy
+    picks an interval's mode from these columns alone and every mode
+    energy is affine in the length, so pricing each row once and
+    weighting it by its count gives the population's totals.
+
+    ``len()`` is the number of rows, the size of every column.
+    """
+
+    def __init__(
+        self,
+        lengths: np.ndarray,
+        kinds: np.ndarray,
+        counts: np.ndarray,
+        prefetchable: np.ndarray | None = None,
+    ) -> None:
+        self.lengths = lengths
+        self.kinds = kinds
+        self.counts = counts
+        self.prefetchable = prefetchable
+
+    @classmethod
+    def compact(
+        cls,
+        lengths: np.ndarray,
+        kinds: np.ndarray,
+        prefetchable: np.ndarray | None = None,
+    ) -> "IntervalProfile":
+        """Group per-interval columns into distinct rows with counts."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        kinds = np.asarray(kinds, dtype=np.int64)
+        flags = (
+            np.zeros(lengths.shape, dtype=np.int64)
+            if prefetchable is None
+            else np.asarray(prefetchable, dtype=np.int64)
+        )
+        # One sortable int64 key per interval: the length, then two bits
+        # of kind, then the flag bit.
+        rows, counts = np.unique(
+            (lengths << 3) | (kinds << 1) | flags, return_counts=True
+        )
+        return cls(
+            lengths=rows >> 3,
+            kinds=((rows >> 1) & 3).astype(np.uint8),
+            counts=counts.astype(np.int64),
+            prefetchable=None if prefetchable is None else (rows & 1).astype(bool),
+        )
+
+    def __len__(self) -> int:
+        return int(self.lengths.size)
+
+    @property
+    def total_cycles(self) -> int:
+        """Sum of all interval lengths, as :attr:`IntervalSet.total_cycles`."""
+        return int((self.lengths * self.counts).sum())
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"IntervalProfile(rows={len(self)}, n={int(self.counts.sum())})"
+
+
+def profile_of(intervals) -> IntervalProfile:
+    """``intervals`` itself if it is a profile, else its memoised profile."""
+    if isinstance(intervals, IntervalProfile):
+        return intervals
+    return intervals.profile()
+
+
+class MemoisedProfile:
+    """Mixin: build :meth:`profile` once and keep it out of pickles.
+
+    The profile is derived data, so cached and transported payloads stay
+    exactly what they were; an unpickled population rebuilds it on demand.
+    """
+
+    def _compact(self) -> IntervalProfile:
+        raise NotImplementedError
+
+    def profile(self) -> IntervalProfile:
+        """The population's :class:`IntervalProfile`, built on first use."""
+        profile = self.__dict__.get("_profile")
+        if profile is None:
+            profile = self._compact()
+            # object.__setattr__ also works on frozen dataclasses.
+            object.__setattr__(self, "_profile", profile)
+        return profile
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_profile", None)
+        return state
+
+
+class IntervalSet(MemoisedProfile):
     """Column-wise collection of intervals.
 
     Parameters
@@ -224,6 +323,9 @@ class IntervalSet:
         """Sum of all interval lengths — the all-active baseline exposure."""
         return int(self.lengths.sum())
 
+    def _compact(self) -> IntervalProfile:
+        return IntervalProfile.compact(self.lengths, self.kinds)
+
     def of_kind(self, kind: IntervalKind) -> "IntervalSet":
         """The subset of intervals of one kind."""
         mask = self.kinds == int(kind)
@@ -250,7 +352,8 @@ class IntervalSet:
         ``(b, inf)`` — the three ranges of Figure 9.
         """
         edges = self._edges(boundaries)
-        hist, _ = np.histogram(self.lengths, bins=edges)
+        profile = self.profile()
+        hist, _ = np.histogram(profile.lengths, bins=edges, weights=profile.counts)
         return [int(v) for v in hist]
 
     def cycle_mass_by_class(
@@ -258,10 +361,13 @@ class IntervalSet:
     ) -> List[float]:
         """Fraction of total cycles falling in each length class."""
         edges = self._edges(boundaries)
-        total = float(self.lengths.sum())
+        profile = self.profile()
+        total = float(profile.total_cycles)
         if total == 0:
             return [0.0] * (len(edges) - 1)
-        mass, _ = np.histogram(self.lengths, bins=edges, weights=self.lengths)
+        mass, _ = np.histogram(
+            profile.lengths, bins=edges, weights=profile.lengths * profile.counts
+        )
         return [float(v) / total for v in mass]
 
     @staticmethod

@@ -49,9 +49,19 @@ def oracle_modes(model: ModeEnergyModel, lengths: np.ndarray) -> np.ndarray:
     return codes
 
 
-def oracle_energy(model: ModeEnergyModel, lengths: np.ndarray) -> float:
-    """Total energy of the oracle assignment (the Figure 10 envelope sum)."""
-    return float(envelope_array(model, np.asarray(lengths, dtype=np.float64)).sum())
+def oracle_energy(
+    model: ModeEnergyModel,
+    lengths: np.ndarray,
+    counts: np.ndarray | None = None,
+) -> float:
+    """Total energy of the oracle assignment (the Figure 10 envelope sum).
+
+    With ``counts``, ``lengths`` are profile rows of that multiplicity.
+    """
+    energy = envelope_array(model, np.asarray(lengths, dtype=np.float64))
+    if counts is not None:
+        energy = energy * counts
+    return float(energy.sum())
 
 
 def assignment_energy(

@@ -16,20 +16,25 @@ schemes the paper evaluates in Figures 7 and 8:
   with an optional raised sleep threshold for the Figure 7 sweep.
 
 Policies assign modes vectorially over numpy length arrays; per-interval
-energies come from the :class:`~repro.core.energy.ModeEnergyModel`.  The
-``dead_aware`` evaluation path (used by the dead-interval ablation) prices
-``DEAD``/``COLD`` intervals without the induced-miss re-fetch, since no
-live data is destroyed by sleeping them.
+energies come from the :class:`~repro.core.energy.ModeEnergyModel`.
+Evaluation hands them the distinct lengths of an
+:class:`~repro.core.intervals.IntervalProfile` (see
+:meth:`Policy.compact`).  The ``dead_aware`` evaluation path (used by
+the dead-interval ablation) prices ``DEAD``/``COLD`` intervals without
+the induced-miss re-fetch, since no live data is destroyed by sleeping
+them.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
 from ..errors import PolicyError
 from .energy import ModeEnergyModel
 from .inflection import InflectionPoints, inflection_points
-from .intervals import IntervalKind
+from .intervals import IntervalKind, IntervalProfile, profile_of
 from .modes import Mode
 
 #: Integer codes used in vectorized mode arrays.
@@ -63,6 +68,16 @@ class Policy:
     def modes(self, lengths: np.ndarray) -> np.ndarray:
         """Return an array of mode codes, one per interval length."""
         raise NotImplementedError
+
+    def compact(self, intervals) -> Tuple["Policy", IntervalProfile]:
+        """The policy and profile that price ``intervals``.
+
+        ``intervals`` is an :class:`IntervalProfile` or anything with a
+        memoised ``profile()`` (an ``IntervalSet``).  A policy that
+        depends only on each interval's row returns itself; one bound to
+        per-interval data overrides this to carry it into the rows.
+        """
+        return self, profile_of(intervals)
 
     def mode_for(self, length: int) -> Mode:
         """Scalar convenience wrapper around :meth:`modes`."""

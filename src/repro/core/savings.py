@@ -10,6 +10,10 @@ paper's methodology, the dynamic energy of every induced miss is *removed
 from* the savings (our sleep energies already include it).  A
 :class:`SavingsReport` additionally breaks the result down by mode so the
 experiments can explain *where* the savings come from.
+
+The accumulation runs over the population's
+:class:`~repro.core.intervals.IntervalProfile`: each distinct row is
+assigned and priced once, and every sum weights the row by its count.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Dict, Iterable, List
 import numpy as np
 
 from ..errors import IntervalError
-from .intervals import IntervalSet
+from .intervals import IntervalProfile, IntervalSet
 from .modes import Mode
 from .policy import CODE_MODES, Policy
 
@@ -86,7 +90,7 @@ class SavingsReport:
 
 def evaluate_policy(
     policy: Policy,
-    intervals: IntervalSet,
+    intervals: IntervalSet | IntervalProfile,
     dead_aware: bool = False,
 ) -> SavingsReport:
     """Run the Figure 5 accumulation for one policy.
@@ -96,18 +100,21 @@ def evaluate_policy(
     policy:
         A bound policy (carries its energy model and inflection points).
     intervals:
-        The interval population (typically merged over all cache frames).
+        The interval population (typically merged over all cache frames),
+        or its :class:`IntervalProfile`.
     dead_aware:
         When True, slept dead/cold intervals are not charged re-fetch
         energy (the ablation of §3.1); the paper's default is False.
     """
-    if not len(intervals):
+    policy, profile = policy.compact(intervals)
+    if not len(profile):
         raise IntervalError("cannot evaluate a policy over zero intervals")
-    lengths = intervals.lengths
-    energies = policy.energies(lengths, intervals.kinds, dead_aware=dead_aware)
+    lengths, counts = profile.lengths, profile.counts
     codes = policy.modes(lengths)
-    baseline = float(policy.model.active_energy_array(lengths).sum())
-    total_cycles = int(lengths.sum())
+    energies = policy.energies(lengths, profile.kinds, dead_aware=dead_aware)
+    energies = energies * counts
+    cycles = lengths * counts
+    total_cycles = int(cycles.sum())
     overhead = policy.overhead_power_fraction * float(total_cycles)
     breakdown: Dict[Mode, ModeBreakdown] = {}
     for code, mode in CODE_MODES.items():
@@ -116,14 +123,14 @@ def evaluate_policy(
             continue
         breakdown[mode] = ModeBreakdown(
             mode=mode,
-            interval_count=int(mask.sum()),
-            cycles=int(lengths[mask].sum()),
+            interval_count=int(counts[mask].sum()),
+            cycles=int(cycles[mask].sum()),
             energy=float(energies[mask].sum()),
             total_cycles=total_cycles,
         )
     return SavingsReport(
         policy_name=policy.name,
-        baseline_energy=baseline,
+        baseline_energy=policy.model.active_energy(total_cycles),
         policy_energy=float(energies.sum()),
         overhead_energy=overhead,
         breakdown=breakdown,

@@ -1,20 +1,13 @@
-"""Stacked per-node policy evaluation: all technology nodes in one pass.
+"""Per-node evaluation of the oracle trio over one interval population.
 
 The technology-scaling experiments (Table 2, the sweep grid) evaluate the
 same three oracle schemes — OPT-Drowsy, OPT-Sleep, OPT-Hybrid — over one
-interval population at every technology node.  Looping over nodes repeats
-the expensive part (per-interval energy arrays and their reductions) once
-per node in Python.  Because every mode energy is affine in the interval
-length (``E = p * L + c`` with per-node scalars ``p``, ``c`` — see
-:mod:`repro.core.energy`), the whole grid is one broadcast: per-node
-coefficient *columns* against a single interval-length *row*.
-
-The arithmetic is arranged so each matrix row is elementwise identical to
-the arrays :func:`repro.core.savings.evaluate_policy` builds for that
-node, and row sums run over C-contiguous rows (numpy's pairwise
-reduction, same as the 1-D case) — so the stacked savings are
-*float-identical* to the per-node loop, not merely close.  The test suite
-pins this equivalence.
+interval population at every technology node.  The population is
+compacted once into its :class:`~repro.core.intervals.IntervalProfile`
+(memoised on the set), and every (scheme, node) cell is one
+:func:`~repro.core.savings.evaluate_policy` over those few distinct rows,
+so the grid shares the per-policy pricing core and equals the per-node
+loop exactly.  The test suite pins this equivalence.
 """
 
 from __future__ import annotations
@@ -26,8 +19,9 @@ import numpy as np
 
 from ..errors import IntervalError, PolicyError
 from .energy import ModeEnergyModel
-from .inflection import inflection_points
-from .intervals import IntervalSet
+from .intervals import IntervalProfile, IntervalSet, profile_of
+from .policy import OptDrowsy, OptHybrid, OptSleep
+from .savings import evaluate_policy
 
 #: Scheme rows produced by :func:`stacked_trio_savings`, in order.
 TRIO_SCHEMES: Tuple[str, str, str] = ("OPT-Drowsy", "OPT-Sleep", "OPT-Hybrid")
@@ -64,12 +58,12 @@ class StackedSavings:
 
 def stacked_trio_savings(
     models: Sequence[ModeEnergyModel],
-    intervals: IntervalSet,
+    intervals: IntervalSet | IntervalProfile,
 ) -> np.ndarray:
     """Saving fractions of the oracle trio, all ``models`` at once.
 
     Returns a ``(3, len(models))`` array ordered like
-    :data:`TRIO_SCHEMES`.  Float-identical to calling
+    :data:`TRIO_SCHEMES`, equal to calling
     :func:`~repro.core.savings.evaluate_policy` with ``OptDrowsy`` /
     ``OptSleep`` / ``OptHybrid`` per model.
     """
@@ -77,53 +71,17 @@ def stacked_trio_savings(
         raise IntervalError("cannot evaluate policies over zero intervals")
     if not len(models):
         raise PolicyError("stacked evaluation needs at least one energy model")
-    lengths = np.asarray(intervals.lengths, dtype=np.int64)
-    lengths_f = np.asarray(lengths, dtype=np.float64)
-
-    points = [inflection_points(model) for model in models]
-    for model, pts in zip(models, points):
-        # Mirror the OptSleep/OptHybrid constructor guards: sleeping at
-        # the drowsy-sleep point must be physically feasible.
-        if pts.drowsy_sleep < model.sleep_min_length:
-            raise PolicyError(
-                f"node {model.node.name}: drowsy-sleep point "
-                f"{pts.drowsy_sleep:.1f} is below the sleep transition time "
-                f"{model.sleep_min_length}"
-            )
-
-    def column(values) -> np.ndarray:
-        return np.asarray(values, dtype=np.float64)[:, None]
-
-    p_drowsy = column([m.p_drowsy for m in models])
-    p_sleep = column([m.p_sleep for m in models])
-    c_drowsy = column([m.drowsy_constant for m in models])
-    c_sleep = column([m.sleep_constant for m in models])
-    active_drowsy = column([p.active_drowsy for p in points])
-    drowsy_sleep = column([p.drowsy_sleep for p in points])
-
-    # One row per node, elementwise identical to the per-node arrays.
-    active_row = models[0].p_active * lengths_f
-    baseline = float(active_row.sum())
-    drowsy_rows = p_drowsy * lengths_f + c_drowsy
-    sleep_rows = p_sleep * lengths_f + c_sleep
-    active_rows = np.broadcast_to(active_row, drowsy_rows.shape)
-    drowsy_mask = lengths > active_drowsy
-    sleep_mask = lengths > drowsy_sleep
-
-    energy_drowsy = np.where(drowsy_mask, drowsy_rows, active_rows)
-    energy_sleep = np.where(sleep_mask, sleep_rows, active_rows)
-    energy_hybrid = np.where(
-        sleep_mask, sleep_rows, np.where(drowsy_mask, drowsy_rows, active_rows)
-    )
-
-    totals = np.stack(
-        [
-            energy_drowsy.sum(axis=1),
-            energy_sleep.sum(axis=1),
-            energy_hybrid.sum(axis=1),
-        ]
-    )
-    return 1.0 - totals / baseline
+    profile = profile_of(intervals)
+    savings = np.empty((len(TRIO_SCHEMES), len(models)))
+    for column, model in enumerate(models):
+        trio = (
+            OptDrowsy(model, name="OPT-Drowsy"),
+            OptSleep(model, name="OPT-Sleep"),
+            OptHybrid(model),
+        )
+        for row, policy in enumerate(trio):
+            savings[row, column] = evaluate_policy(policy, profile).saving_fraction
+    return savings
 
 
 def stacked_savings_for_nodes(

@@ -192,17 +192,19 @@ def _check_cache(cache_name, level, annotations, result, cycles) -> List[str]:
 
     if violations or not count:
         return violations
-    return violations + _check_energy(cache_name, intervals, lengths)
+    return violations + _check_energy(cache_name, intervals)
 
 
-def _check_energy(cache_name, intervals, lengths) -> List[str]:
+def _check_energy(cache_name, intervals) -> List[str]:
     from ..core.oracle import oracle_energy
     from ..core.savings import evaluate_policy
 
     violations: List[str] = []
     model, policy = _gate_context()
-    baseline = float(model.active_energy_array(lengths).sum())
-    oracle = float(oracle_energy(model, lengths))
+    # Every energy below is priced from the population's compact profile.
+    profile = intervals.profile()
+    baseline = model.active_energy(profile.total_cycles)
+    oracle = oracle_energy(model, profile.lengths, profile.counts)
     if not np.isfinite(baseline) or baseline < 0.0:
         violations.append(
             f"{cache_name}: baseline energy is not finite and non-negative "
@@ -219,7 +221,7 @@ def _check_energy(cache_name, intervals, lengths) -> List[str]:
             f"all-active baseline envelope ({baseline:.3f})"
         )
 
-    report = evaluate_policy(policy, intervals)
+    report = evaluate_policy(policy, profile)
     breakdown = report.breakdown.values()
     if any(entry.energy < -TOLERANCE for entry in breakdown):
         violations.append(f"{cache_name}: negative per-mode energy")

@@ -16,7 +16,7 @@ what a ``BenchmarkRun`` contains, only how long it took to obtain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from ..engine import ExecutionEngine, SimulationJob
@@ -38,15 +38,22 @@ class BenchmarkRun:
 
     name: str
     annotated: AnnotatedSimulationResult
+    _views: Dict[str, AnnotatedIntervals] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def intervals(self, cache: str) -> AnnotatedIntervals:
         """Annotated intervals for ``'icache'`` or ``'dcache'``.
 
         Kinds are re-labelled NORMAL — the paper's default treatment of
         live/dead intervals (§3.1); the dead-interval ablation asks for
-        the raw population via ``annotated`` directly.
+        the raw population via ``annotated`` directly.  The view is built
+        once per cache, so every experiment reuses its memoised profiles.
         """
-        return self.annotated.annotated_for(cache).as_normal()
+        view = self._views.get(cache)
+        if view is None:
+            view = self._views[cache] = self.annotated.annotated_for(cache).as_normal()
+        return view
 
 
 class SuiteRunner:

@@ -36,7 +36,7 @@ from ..cache.kernel import (
     run_batched,
     validated_chunks,
 )
-from ..core.intervals import IntervalSet
+from ..core.intervals import IntervalProfile, IntervalSet, MemoisedProfile
 from ..cpu.pipeline import IssueClock, PipelineConfig
 from ..cpu.simulator import SimulationResult
 from ..cpu.trace import NO_ACCESS, STORE, TraceChunk
@@ -49,12 +49,14 @@ DEFAULT_ACTIVE_FLOOR = 6
 
 
 @dataclass(frozen=True)
-class AnnotatedIntervals:
+class AnnotatedIntervals(MemoisedProfile):
     """An interval population with per-interval prefetchability flags.
 
     ``nextline`` and ``stride`` are aligned with ``intervals``; ``stride``
     only marks intervals *not already* caught by next-line, so the two
     are disjoint (Figure 9 reports them as separate shaded areas).
+    :meth:`profile` compacts the population with its
+    :attr:`prefetchable` mask as the flag column.
     """
 
     intervals: IntervalSet
@@ -88,6 +90,11 @@ class AnnotatedIntervals:
         """Prefetchable intervals over all intervals (the Figure 9 ratio)."""
         n = len(self.intervals)
         return float(self.prefetchable.sum()) / n if n else 0.0
+
+    def _compact(self) -> IntervalProfile:
+        return IntervalProfile.compact(
+            self.intervals.lengths, self.intervals.kinds, self.prefetchable
+        )
 
     def as_normal(self) -> "AnnotatedIntervals":
         """Re-label every interval NORMAL (the paper's default view)."""

@@ -15,17 +15,22 @@ approximations of the oracle:
 Both are expressed as :class:`~repro.core.policy.Policy` subclasses bound
 to a fixed interval population (the mask must align), so the standard
 Figure 5 evaluation machinery prices them, and the wake-up stalls B
-accepts are reported separately as a performance-cost estimate.
+accepts are reported separately as a performance-cost estimate.  The
+schemes here bind them to the rows of the population's memoised
+:class:`~repro.core.intervals.IntervalProfile`, whose flag column is the
+prefetchable mask.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
 
 from ..core.energy import ModeEnergyModel
+from ..core.intervals import IntervalProfile
 from ..core.policy import DROWSY, SLEEP, Policy
 from ..core.savings import SavingsReport, evaluate_policy
 from ..errors import PolicyError
@@ -41,7 +46,8 @@ class PrefetchGuidedPolicy(Policy):
         The bound energy model (supplies the inflection points).
     prefetchable:
         Boolean mask aligned with the interval population the policy will
-        be evaluated on.
+        be evaluated on: one flag per interval of an ``IntervalSet``, or
+        one per row of an :class:`IntervalProfile`.
     power_first:
         False = Prefetch-A (non-prefetchable stays active);
         True = Prefetch-B (non-prefetchable goes drowsy when feasible).
@@ -60,14 +66,30 @@ class PrefetchGuidedPolicy(Policy):
         if name is None:
             self.name = "Prefetch-B" if power_first else "Prefetch-A"
 
-    def modes(self, lengths: np.ndarray) -> np.ndarray:
-        lengths = np.asarray(lengths)
+    def compact(self, intervals):
+        if isinstance(intervals, IntervalProfile):
+            return self, intervals
+        # A per-interval mask: fold it into the profile's flag column and
+        # price a copy of this policy bound to the rows.
+        self._check_alignment(intervals.lengths)
+        profile = IntervalProfile.compact(
+            intervals.lengths, intervals.kinds, self.prefetchable
+        )
+        rows = copy.copy(self)
+        rows.prefetchable = profile.prefetchable
+        return rows, profile
+
+    def _check_alignment(self, lengths: np.ndarray) -> None:
         if lengths.shape != self.prefetchable.shape:
             raise PolicyError(
                 f"policy {self.name!r} was built for "
                 f"{self.prefetchable.shape[0]} intervals but asked about "
                 f"{lengths.shape[0]}"
             )
+
+    def modes(self, lengths: np.ndarray) -> np.ndarray:
+        lengths = np.asarray(lengths)
+        self._check_alignment(lengths)
         codes = np.zeros(lengths.shape, dtype=np.uint8)
         mask = self.prefetchable
         drowsy_ok = lengths > self.points.active_drowsy
@@ -77,18 +99,25 @@ class PrefetchGuidedPolicy(Policy):
             codes[~mask & drowsy_ok] = DROWSY
         return codes
 
-    def wakeup_stall_cycles(self, lengths: np.ndarray) -> int:
+    def wakeup_stall_cycles(
+        self, lengths: np.ndarray, counts: np.ndarray | None = None
+    ) -> int:
         """Estimated stall cycles from unhidden drowsy wake-ups.
 
         Prefetchable intervals exit their mode behind a prefetch (no
         stall); non-prefetchable drowsy intervals each pay the ``d3``
-        ramp on their closing access.  Prefetch-A never stalls.
+        ramp on their closing access.  Prefetch-A never stalls.  With
+        ``counts``, ``lengths`` are profile rows of that multiplicity.
         """
         if not self.power_first:
             return 0
-        lengths = np.asarray(lengths)
-        unhidden = (~self.prefetchable) & (lengths > self.points.active_drowsy)
-        return int(unhidden.sum()) * self.model.durations.d3
+        return self._stalls(lengths, counts, self.points.active_drowsy)
+
+    def _stalls(self, lengths, counts, drowsy_above: float) -> int:
+        """``d3`` per non-prefetchable interval longer than ``drowsy_above``."""
+        unhidden = (~self.prefetchable) & (np.asarray(lengths) > drowsy_above)
+        woken = unhidden.sum() if counts is None else counts[unhidden].sum()
+        return int(woken) * self.model.durations.d3
 
 
 @dataclass(frozen=True)
@@ -114,12 +143,15 @@ def evaluate_prefetch_scheme(
     dead_aware: bool = False,
 ) -> PrefetchSchemeReport:
     """Price Prefetch-A (``power_first=False``) or Prefetch-B over a run."""
-    policy = PrefetchGuidedPolicy(model, annotated.prefetchable, power_first)
-    savings = evaluate_policy(policy, annotated.intervals, dead_aware=dead_aware)
+    profile = annotated.profile()
+    policy = PrefetchGuidedPolicy(model, profile.prefetchable, power_first)
+    savings = evaluate_policy(policy, profile, dead_aware=dead_aware)
     return PrefetchSchemeReport(
         savings=savings,
-        wakeup_stall_cycles=policy.wakeup_stall_cycles(annotated.intervals.lengths),
-        total_cycles=annotated.intervals.total_cycles,
+        wakeup_stall_cycles=policy.wakeup_stall_cycles(
+            profile.lengths, profile.counts
+        ),
+        total_cycles=profile.total_cycles,
     )
 
 
@@ -217,12 +249,7 @@ class PrefetchTradeoff(PrefetchGuidedPolicy):
 
     def modes(self, lengths: np.ndarray) -> np.ndarray:
         lengths = np.asarray(lengths)
-        if lengths.shape != self.prefetchable.shape:
-            raise PolicyError(
-                f"policy {self.name!r} was built for "
-                f"{self.prefetchable.shape[0]} intervals but asked about "
-                f"{lengths.shape[0]}"
-            )
+        self._check_alignment(lengths)
         codes = np.zeros(lengths.shape, dtype=np.uint8)
         mask = self.prefetchable
         codes[mask & (lengths > self.points.active_drowsy)] = DROWSY
@@ -230,10 +257,10 @@ class PrefetchTradeoff(PrefetchGuidedPolicy):
         codes[~mask & (lengths > self.np_threshold)] = DROWSY
         return codes
 
-    def wakeup_stall_cycles(self, lengths: np.ndarray) -> int:
-        lengths = np.asarray(lengths)
-        unhidden = (~self.prefetchable) & (lengths > self.np_threshold)
-        return int(unhidden.sum()) * self.model.durations.d3
+    def wakeup_stall_cycles(
+        self, lengths: np.ndarray, counts: np.ndarray | None = None
+    ) -> int:
+        return self._stalls(lengths, counts, self.np_threshold)
 
 
 @dataclass(frozen=True)
@@ -257,12 +284,12 @@ def prefetch_tradeoff_curve(
     power/performance frontier the paper's §5.2 sketches.
     """
     points = []
-    lengths = annotated.intervals.lengths
-    total = annotated.intervals.total_cycles
+    profile = annotated.profile()
+    total = profile.total_cycles
     for threshold in thresholds:
-        policy = PrefetchTradeoff(model, annotated.prefetchable, threshold)
-        report = evaluate_policy(policy, annotated.intervals)
-        stalls = policy.wakeup_stall_cycles(lengths)
+        policy = PrefetchTradeoff(model, profile.prefetchable, threshold)
+        report = evaluate_policy(policy, profile)
+        stalls = policy.wakeup_stall_cycles(profile.lengths, profile.counts)
         points.append(
             TradeoffPoint(
                 np_threshold=float(threshold),
