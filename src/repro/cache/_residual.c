@@ -54,9 +54,7 @@ typedef struct {
     i64 *rec_keys;
     i64 *rec_gaps;
     u8  *rec_kinds;
-    i64 *rec_frames;    /* may be NULL (access loop records no frames) */
     i64 rec_n;          /* records emitted (gap > 0) */
-    i64 frames_n;       /* frames recorded == events seen by this lane */
     i64 hits;
     i64 misses;
     i64 compulsory;
@@ -257,8 +255,6 @@ i64 repro_residual_timed(
         if (lane->lru_touch)
             lane->lru_touch[frame] = now;
         lane->frame_last[frame] = now;
-        lane->rec_frames[lane->frames_n] = frame;
-        lane->frames_n += 1;
         lane->set_last_frame[set_index] = frame;
     }
     *n_stalls_out = n_stalls;
@@ -322,5 +318,5 @@ void repro_residual_access(
 /* ABI version stamp so the loader can reject a stale cached build. */
 i64 repro_residual_abi(void)
 {
-    return 1;
+    return 2;
 }

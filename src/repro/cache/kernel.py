@@ -222,11 +222,11 @@ class _Lane:
     def classify(self, blocks: np.ndarray):
         """Split one chunk's access stream into fast-path and residual.
 
-        Returns ``(sets, order, ssets, sblocks, firsts, fast, pred)``:
-        the set index per event, the stable set-sort permutation and the
-        sorted views, the first-of-set mask (in sorted order), the
-        fast-path mask and the same-set predecessor index (original event
-        order; ``-1`` for the first event of a set in this chunk).
+        Returns ``(sets, order, ssets, sblocks, fast, pred)``: the set
+        index per event, the stable set-sort permutation and the sorted
+        views, the fast-path mask and the same-set predecessor index
+        (original event order; ``-1`` for the first event of a set in
+        this chunk).
         """
         count = len(blocks)
         sets = blocks & self.set_mask
@@ -251,7 +251,7 @@ class _Lane:
             pred_sorted[1:][cont] = order[:-1][cont]
         pred = np.empty(count, dtype=np.int64)
         pred[order] = pred_sorted
-        return sets, order, ssets, sblocks, firsts, fast, pred
+        return sets, order, ssets, sblocks, fast, pred
 
     def catchup_positions(
         self, res_idx: np.ndarray, pred: np.ndarray, fast: np.ndarray,
@@ -300,38 +300,22 @@ class _Lane:
             )
 
 
-def _emit_intervals(lane: _Lane, gaps_fast_keys, gaps_fast, res_keys,
-                    res_gaps, res_kinds) -> None:
-    """Merge fast-path and residual interval records into event order."""
-    if lane.tracker is None:
-        return
-    fast_kinds = np.full(len(gaps_fast_keys), _NORMAL, dtype=np.uint8)
-    keys = np.concatenate([gaps_fast_keys, res_keys])
-    gaps = np.concatenate([gaps_fast, res_gaps])
-    kinds = np.concatenate([fast_kinds, res_kinds])
-    merged = np.argsort(keys, kind="stable")
-    lane.tracker.extend(gaps[merged], kinds[merged])
+def _emit_intervals(lane: _Lane, fast_events, fast_gaps, res_events,
+                    res_gaps, res_kinds):
+    """Merge fast-path and residual interval records into event order.
 
-
-def _event_frames(lane: _Lane, count, order, ssets, firsts, fast, res_frames,
-                  carry_frames) -> np.ndarray:
-    """Frame touched by every event, reconstructed for annotation.
-
-    Residual frames come from the loop; a fast event touches its run's
-    frame, forward-filled from the nearest earlier same-set event (or the
-    pre-chunk carry for a run continuing across the chunk boundary).
+    Returns the merged ``(events, gaps)``: the lane-local index of the
+    access that closed each recorded interval and the interval's length,
+    in exactly the order the tracker received them.
     """
-    frames = np.full(count, -1, dtype=np.int64)
-    frames[np.flatnonzero(~fast)] = res_frames
-    sorted_frames = frames[order]
-    boundary = firsts & (sorted_frames == -1)
-    sorted_frames[boundary] = carry_frames[ssets[boundary]]
-    valid = sorted_frames >= 0
-    seed = np.where(valid, np.arange(count), 0)
-    np.maximum.accumulate(seed, out=seed)
-    filled = sorted_frames[seed]
-    frames[order] = filled
-    return frames
+    events = np.concatenate([fast_events, res_events])
+    merged = np.argsort(events, kind="stable")
+    events = events[merged]
+    gaps = np.concatenate([fast_gaps, res_gaps])[merged]
+    if lane.tracker is not None:
+        fast_kinds = np.full(len(fast_events), _NORMAL, dtype=np.uint8)
+        lane.tracker.extend(gaps, np.concatenate([fast_kinds, res_kinds])[merged])
+    return events, gaps
 
 
 def _compiled_timed_chunk(
@@ -347,8 +331,8 @@ def _compiled_timed_chunk(
     """
     n = len(m_pos)
     n_d = int(np.count_nonzero(m_is_d))
-    bridge_i = native.LaneBridge(lane_i, n - n_d, want_frames=True)
-    bridge_d = native.LaneBridge(lane_d, n_d, want_frames=True)
+    bridge_i = native.LaneBridge(lane_i, n - n_d)
+    bridge_d = native.LaneBridge(lane_d, n_d)
     bridge_d.set_lane_id(1)
     cfg = native.make_config(
         invalid_tag=INVALID,
@@ -445,7 +429,7 @@ class BatchedCacheKernel:
                 "one); sort the trace by time before feeding it to the kernel"
             )
         lane = self._lane
-        sets, order, ssets, sblocks, firsts, fast, pred = lane.classify(blocks)
+        sets, order, ssets, sblocks, fast, pred = lane.classify(blocks)
         hits = fast.copy()
         res_idx = np.flatnonzero(~fast)
         catch = lane.catchup_positions(res_idx, pred, fast, np.arange(count))
@@ -578,7 +562,7 @@ class BatchedCacheKernel:
         lane = self._lane
         lib = native.load_native()
         n_res = len(res_idx)
-        bridge = native.LaneBridge(lane, n_res, want_frames=False)
+        bridge = native.LaneBridge(lane, n_res)
         cfg = native.make_config(
             invalid_tag=INVALID,
             kind_normal=_NORMAL,
@@ -601,8 +585,7 @@ class BatchedCacheKernel:
         )
         bridge.writeback()
         hits[res_idx[hit_out.astype(bool)]] = True
-        keys, gaps, kinds, _ = bridge.records()
-        return (keys, gaps, kinds), bridge.counters()
+        return bridge.records(), bridge.counters()
 
     def finish(self, end_time: int) -> None:
         """Sync folded state and close the cache's generation timelines."""
@@ -701,9 +684,9 @@ def _assemble_chunk(
     """Assembly stage of :func:`run_batched` for one chunk.
 
     Reconstructs every access time, emits intervals in event order, rolls
-    the carries, and feeds the annotation observers.  Residual records may
-    be python lists (pure-python residual) or numpy arrays (compiled
-    residual); the two produce identical output.
+    the carries, and hands each lane's chunk to its annotation observer.
+    Residual records may be python lists (pure-python residual) or numpy
+    arrays (compiled residual); the two produce identical output.
     """
     t_start = perf()
     for lane, pos, blocks, records, observer in (
@@ -712,8 +695,7 @@ def _assemble_chunk(
     ):
         if len(blocks) == 0:
             continue
-        (sets, order, ssets, sblocks, firsts, fast, pred, res_idx,
-         _, carry_frames) = plans[id(lane)]
+        sets, order, ssets, sblocks, fast, pred, res_idx, _ = plans[id(lane)]
         if len(stall_pos_arr):
             record_index = np.searchsorted(stall_pos_arr, pos, side="left")
             stall_prefix = np.where(
@@ -734,15 +716,17 @@ def _assemble_chunk(
             )
             fast_gaps = t_ev[fast_idx] - prev_times
             keep = fast_gaps > 0
-            fast_keys = pos[fast_idx[keep]]
+            fast_events = fast_idx[keep]
             fast_gaps = fast_gaps[keep]
         else:
-            fast_keys = np.zeros(0, dtype=np.int64)
+            fast_events = np.zeros(0, dtype=np.int64)
             fast_gaps = np.zeros(0, dtype=np.int64)
-        keys_out, gaps_out, kinds_out, frames_out = records
-        _emit_intervals(
-            lane, fast_keys, fast_gaps,
-            np.asarray(keys_out, dtype=np.int64),
+        keys_out, gaps_out, kinds_out = records
+        # Residual records are keyed by instruction position; one lane
+        # has at most one event per instruction.
+        events, gaps = _emit_intervals(
+            lane, fast_events, fast_gaps,
+            np.searchsorted(pos, np.asarray(keys_out, dtype=np.int64)),
             np.asarray(gaps_out, dtype=np.int64),
             np.asarray(kinds_out, dtype=np.uint8),
         )
@@ -758,16 +742,12 @@ def _assemble_chunk(
         lane.set_last_time[ssets[last_of_set]] = t_ev[last_idx]
         lane.close_trailing_runs(sets, t_ev, last_idx[fast[last_idx]])
         if observer is not None:
-            frames = _event_frames(
-                lane, len(blocks), order, ssets, firsts, fast,
-                np.asarray(frames_out, dtype=np.int64), carry_frames,
-            )
             stage["assembly"] += perf() - t_start
             t_start = perf()
             if lane is lane_d:
-                observer(blocks, frames, t_ev, pcs[pos], addrs[pos], dstores)
+                observer(blocks, t_ev, events, gaps, pcs[pos], addrs[pos], dstores)
             else:
-                observer(blocks, frames, t_ev)
+                observer(blocks, t_ev, events, gaps)
             stage["annotate"] += perf() - t_start
             t_start = perf()
     stage["assembly"] += perf() - t_start
@@ -789,10 +769,13 @@ def run_batched(
     ``hierarchy.finish`` and syncs ``clock``, returning the timing totals
     plus the run profile.
 
-    ``i_observer(blocks, frames, times)`` and ``d_observer(blocks,
-    frames, times, pcs, addresses, stores)`` are invoked once per chunk
-    with per-access arrays in event order — the prefetchability annotator
-    hooks in here without perturbing the kernel.
+    ``i_observer(blocks, times, events, gaps)`` and ``d_observer(blocks,
+    times, events, gaps, pcs, addresses, stores)`` are invoked once per
+    chunk with the lane's per-access arrays in event order plus the
+    intervals the chunk recorded: ``events[k]`` indexes the access that
+    closed interval ``k`` and ``gaps[k]`` is its length, exactly as the
+    tracker received them.  The prefetchability annotator hooks in here
+    without perturbing the kernel.
     """
     if not kernel_supported(hierarchy):
         raise SimulationError("hierarchy is not supported by the batched kernel")
@@ -809,7 +792,6 @@ def run_batched(
     l2_hit = hierarchy.config.l2.hit_latency
     memory_latency = hierarchy.config.l2.hit_latency + hierarchy.config.memory_latency
     l2_access = hierarchy.l2.access_block
-    annotate = i_observer is not None or d_observer is not None
 
     residual_impl = resolve_residual_impl(residual)
     if residual_impl == "compiled":
@@ -861,24 +843,20 @@ def run_batched(
             (lane_d, dpos, dblocks),
         ):
             if len(blocks):
-                sets, order, ssets, sblocks, firsts, fast, pred = lane.classify(blocks)
+                sets, order, ssets, sblocks, fast, pred = lane.classify(blocks)
             else:
                 sets = order = ssets = sblocks = pred = np.zeros(0, dtype=np.int64)
-                firsts = fast = np.zeros(0, dtype=bool)
+                fast = np.zeros(0, dtype=bool)
             res_idx = np.flatnonzero(~fast)
             catch = lane.catchup_positions(res_idx, pred, fast, pos)
             lane.fast_accesses += len(blocks) - len(res_idx)
             lane.slow_accesses += len(res_idx)
-            carry_frames = (
-                np.asarray(lane.set_last_frame, dtype=np.int64) if annotate else None
-            )
             plans[id(lane)] = (
-                sets, order, ssets, sblocks, firsts, fast, pred, res_idx,
-                catch, carry_frames,
+                sets, order, ssets, sblocks, fast, pred, res_idx, catch,
             )
 
-        sets_i, _, _, _, _, fast_i, _, res_i, catch_i, _ = plans[id(lane_i)]
-        sets_d, _, _, _, _, fast_d, _, res_d, catch_d, _ = plans[id(lane_d)]
+        sets_i, _, _, _, fast_i, _, res_i, catch_i = plans[id(lane_i)]
+        sets_d, _, _, _, fast_d, _, res_d, catch_d = plans[id(lane_d)]
 
         # Merge both lanes' residual events by (instruction, I-before-D).
         key_i = ipos[res_i] << np.int64(1)
@@ -926,7 +904,6 @@ def run_batched(
                     np.zeros(0, dtype=np.int64),
                     np.zeros(0, dtype=np.int64),
                     np.zeros(0, dtype=np.uint8),
-                    np.zeros(0, dtype=np.int64),
                 )
                 counters_i = counters_d = [0, 0, 0, 0]
             counters = {id(lane_i): counters_i, id(lane_d): counters_d}
@@ -945,8 +922,8 @@ def run_batched(
         stall_totals: list = []  # cumulative stalls after each record
         current_pos = -1
         stalls_at_pos = stalls
-        res_records_i = ([], [], [], [])  # keys, gaps, kinds, frames
-        res_records_d = ([], [], [], [])
+        res_records_i = ([], [], [])  # keys, gaps, kinds
+        res_records_d = ([], [], [])
         counters = {id(lane_i): [0, 0, 0, 0], id(lane_d): [0, 0, 0, 0]}
         for pos, is_d, block, set_index, catch_pos, base_time, catch_base, is_store in zip(
             m_pos.tolist(), m_is_d.tolist(), m_block.tolist(), m_set.tolist(),
@@ -957,7 +934,7 @@ def run_batched(
                 stalls_at_pos = stalls
             now = base_time + stalls_at_pos
             lane = lane_d if is_d else lane_i
-            keys_out, gaps_out, kinds_out, frames_out = (
+            keys_out, gaps_out, kinds_out = (
                 res_records_d if is_d else res_records_i
             )
             tags = lane.tags
@@ -1042,7 +1019,6 @@ def run_batched(
             if lru_touch is not None:
                 lru_touch[frame] = now
             frame_last[frame] = now
-            frames_out.append(frame)
             lane.set_last_frame[set_index] = frame
         stage["residual"] += perf() - t_start
 

@@ -40,7 +40,7 @@ import numpy as np
 ENV_NATIVE_DIR = "REPRO_NATIVE_DIR"
 
 #: ABI stamp the built library must report (see ``_residual.c``).
-NATIVE_ABI = 1
+NATIVE_ABI = 2
 
 _SOURCE = Path(__file__).with_name("_residual.c")
 
@@ -71,9 +71,7 @@ class NativeLane(ctypes.Structure):
         ("rec_keys", _i64p),
         ("rec_gaps", _i64p),
         ("rec_kinds", _u8p),
-        ("rec_frames", _i64p),
         ("rec_n", _i64),
-        ("frames_n", _i64),
         ("hits", _i64),
         ("misses", _i64),
         ("compulsory", _i64),
@@ -269,7 +267,7 @@ class LaneBridge:
     every alias.
     """
 
-    def __init__(self, lane, n_events: int, want_frames: bool) -> None:
+    def __init__(self, lane, n_events: int) -> None:
         self.lane = lane
         self.tags = np.asarray(lane.tags, dtype=np.int64)
         self.frame_last = np.asarray(lane.frame_last, dtype=np.int64)
@@ -285,7 +283,6 @@ class LaneBridge:
         self.keys = np.empty(n_events, dtype=np.int64)
         self.gaps = np.empty(n_events, dtype=np.int64)
         self.kinds = np.empty(n_events, dtype=np.uint8)
-        self.frames = np.empty(n_events, dtype=np.int64) if want_frames else None
         self.struct = NativeLane()
         self.struct.lane_id = 0
         self.struct.assoc = int(lane.assoc)
@@ -298,9 +295,7 @@ class LaneBridge:
         self.struct.rec_keys = ptr_i64(self.keys)
         self.struct.rec_gaps = ptr_i64(self.gaps)
         self.struct.rec_kinds = ptr_u8(self.kinds)
-        self.struct.rec_frames = ptr_i64(self.frames)
         self.struct.rec_n = 0
-        self.struct.frames_n = 0
         self.struct.hits = 0
         self.struct.misses = 0
         self.struct.compulsory = 0
@@ -319,14 +314,9 @@ class LaneBridge:
             lane.fifo_next[:] = self.fifo.tolist()
         lane.set_last_frame[:] = self.set_last_frame.tolist()
 
-    def records(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def records(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = int(self.struct.rec_n)
-        frames = (
-            self.frames[: int(self.struct.frames_n)]
-            if self.frames is not None
-            else np.zeros(0, dtype=np.int64)
-        )
-        return self.keys[:n], self.gaps[:n], self.kinds[:n], frames
+        return self.keys[:n], self.gaps[:n], self.kinds[:n]
 
     def counters(self) -> List[int]:
         s = self.struct

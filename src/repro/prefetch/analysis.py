@@ -138,21 +138,146 @@ class _CacheAnnotator:
 
     def finish(self, intervals: IntervalSet) -> AnnotatedIntervals:
         """Flag the end-of-run tail intervals and package up."""
-        recorded = len(self._nextline)
-        missing = len(intervals) - recorded
-        if missing < 0:
-            raise SimulationError(
-                "annotator recorded more intervals than the tracker"
-            )
-        self._nextline.extend([False] * missing)
-        self._stride.extend([False] * missing)
-        tail = np.zeros(len(intervals), dtype=bool)
-        tail[recorded:] = True
-        return AnnotatedIntervals(
+        return _package(
             intervals,
             np.array(self._nextline, dtype=bool),
             np.array(self._stride, dtype=bool),
-            tail,
+        )
+
+
+def _package(
+    intervals: IntervalSet, nextline: np.ndarray, stride: np.ndarray
+) -> AnnotatedIntervals:
+    """Pad recorded flags with the end-of-run tail intervals."""
+    recorded = len(nextline)
+    missing = len(intervals) - recorded
+    if missing < 0:
+        raise SimulationError("annotator recorded more intervals than the tracker")
+    tail = np.zeros(len(intervals), dtype=bool)
+    tail[recorded:] = True
+    pad = np.zeros(missing, dtype=bool)
+    return AnnotatedIntervals(
+        intervals,
+        np.concatenate([nextline, pad]),
+        np.concatenate([stride, pad]),
+        tail,
+    )
+
+
+class _ChunkAnnotator:
+    """Annotates one cache lane of the batched kernel, a chunk at a time.
+
+    Each chunk arrives as the lane's accesses in event order (``blocks``,
+    ``times``) plus the intervals the kernel recorded for them: the index
+    of each closing access and its gap, the tracker's own numbers.  An
+    interval's window therefore starts at ``time - gap``, and it is
+    next-line covered when block ``X - 1``'s latest earlier access falls
+    inside that window.  That lookup is a stable block sort plus
+    ``searchsorted`` within the chunk, backed by a sorted
+    (block, last time) carry for blocks last seen in earlier chunks.
+    Given a stride predictor, the lane's loads train it once per chunk
+    (:meth:`StridePredictor.access_many`).
+    """
+
+    def __init__(
+        self, active_floor: int, stride: Optional[StridePredictor] = None
+    ) -> None:
+        self.active_floor = active_floor
+        self.stride = stride
+        self._carry_blocks = np.zeros(0, dtype=np.int64)
+        self._carry_times = np.zeros(0, dtype=np.int64)
+        self._nextline: List[np.ndarray] = []
+        self._stride: List[np.ndarray] = []
+
+    def observe(
+        self,
+        blocks: np.ndarray,
+        times: np.ndarray,
+        events: np.ndarray,
+        gaps: np.ndarray,
+        pcs: Optional[np.ndarray] = None,
+        addrs: Optional[np.ndarray] = None,
+        stores: Optional[np.ndarray] = None,
+    ) -> None:
+        """Flag the intervals one chunk recorded (the kernel's hook)."""
+        count = len(blocks)
+        order = np.argsort(blocks, kind="stable")
+        sblocks = blocks[order]
+        run_start = np.empty(count, dtype=bool)
+        run_start[0] = True
+        np.not_equal(sblocks[1:], sblocks[:-1], out=run_start[1:])
+        # Sorted (block rank, event) keys: one searchsorted finds a
+        # block's latest access before a given event.
+        rank = np.cumsum(run_start) - 1
+        keys = rank * count + order
+
+        # Intervals above the floor query block X - 1 in block-sorted
+        # order: X - 1's run, when present, is the run just before X's,
+        # and the needles reach searchsorted already sorted.
+        interval_of = np.full(count, -1, dtype=np.int64)
+        beyond_floor = np.flatnonzero(gaps > self.active_floor)
+        interval_of[events[beyond_floor]] = beyond_floor
+        queries = np.flatnonzero(interval_of[order] >= 0)
+        query = order[queries]
+        query_rank = rank[queries]
+        neighbor = sblocks[queries] - 1
+        run_blocks = sblocks[run_start]
+        present = (query_rank > 0) & (
+            run_blocks[np.maximum(query_rank - 1, 0)] == neighbor
+        )
+        latest = np.searchsorted(keys, (query_rank - 1) * count + query) - 1
+        in_chunk = present & (latest >= 0)
+        in_chunk[in_chunk] = rank[latest[in_chunk]] == query_rank[in_chunk] - 1
+        neighbor_time = np.full(len(query), -1, dtype=np.int64)
+        neighbor_time[in_chunk] = times[order[latest[in_chunk]]]
+        carried = np.flatnonzero(~in_chunk)
+        found, slot = self._carry_lookup(neighbor[carried])
+        neighbor_time[carried[found]] = self._carry_times[slot[found]]
+        interval = interval_of[query]
+        covered = neighbor_time >= times[query] - gaps[interval]
+        nextline = np.zeros(len(events), dtype=bool)
+        nextline[interval] = covered
+
+        stride = np.zeros(len(events), dtype=bool)
+        if self.stride is not None:
+            loads = ~stores
+            hits = np.zeros(count, dtype=bool)
+            hits[loads] = self.stride.access_many(pcs[loads], addrs[loads])
+            stride[interval] = hits[query] & ~covered
+        self._nextline.append(nextline)
+        self._stride.append(stride)
+
+        # Roll the carry: each block's last access in this chunk.
+        run_end = np.empty(count, dtype=bool)
+        run_end[-1] = True
+        run_end[:-1] = run_start[1:]
+        last_blocks = sblocks[run_end]
+        last_times = times[order[run_end]]
+        found, slot = self._carry_lookup(last_blocks)
+        self._carry_times[slot[found]] = last_times[found]
+        fresh = ~found
+        self._carry_blocks = np.insert(
+            self._carry_blocks, slot[fresh], last_blocks[fresh]
+        )
+        self._carry_times = np.insert(
+            self._carry_times, slot[fresh], last_times[fresh]
+        )
+
+    def _carry_lookup(self, blocks: np.ndarray):
+        """``(found, slot)`` of ``blocks`` in the sorted carry."""
+        carry = self._carry_blocks
+        slot = np.searchsorted(carry, blocks)
+        found = np.zeros(len(blocks), dtype=bool)
+        inside = slot < len(carry)
+        found[inside] = carry[slot[inside]] == blocks[inside]
+        return found, slot
+
+    def finish(self, intervals: IntervalSet) -> AnnotatedIntervals:
+        """Flag the end-of-run tail intervals and package up."""
+        return _package(
+            intervals,
+            np.concatenate(self._nextline or [np.zeros(0, dtype=bool)]),
+            np.concatenate(self._stride or [np.zeros(0, dtype=bool)]),
         )
 
 
@@ -208,56 +333,33 @@ class AnnotatingSimulator:
         if isinstance(trace, TraceChunk):
             trace = (trace,)
 
+        # REPRO_KERNEL selects the path; auto prefers the batched kernel
+        # (with its best available residual loop) when the hierarchy
+        # supports it and the scalar loop otherwise.
+        mode = resolve_kernel_mode()
+        if mode != "scalar" and kernel_supported(self.hierarchy):
+            return self._run_batched(trace)
         i_annotator = _CacheAnnotator(
             self.hierarchy.l1i.config.n_lines, self.active_floor
         )
         d_annotator = _CacheAnnotator(
             self.hierarchy.l1d.config.n_lines, self.active_floor
         )
-        # REPRO_KERNEL selects the path; auto prefers the batched kernel
-        # (with its best available residual loop) when the hierarchy
-        # supports it and the scalar loop otherwise.
-        mode = resolve_kernel_mode()
-        if mode != "scalar" and kernel_supported(self.hierarchy):
-            return self._run_batched(trace, i_annotator, d_annotator)
         return self._run_scalar(trace, i_annotator, d_annotator)
 
-    def _run_batched(
-        self,
-        trace: Iterable[TraceChunk],
-        i_annotator: "_CacheAnnotator",
-        d_annotator: "_CacheAnnotator",
-    ) -> AnnotatedSimulationResult:
-        """Kernel timing plus a scalar annotation replay per chunk.
+    def _run_batched(self, trace: Iterable[TraceChunk]) -> AnnotatedSimulationResult:
+        """Kernel timing plus vectorised annotation per chunk.
 
-        The kernel hands each chunk's (block, frame, time) event stream —
-        exactly what the scalar loop would have produced — to observers
-        that replay the annotators and the stride predictor in event
-        order, so flags and predictor state are identical by construction.
+        The kernel hands each lane's chunk, with the intervals it recorded
+        in event order, to a :class:`_ChunkAnnotator`; the flags and the
+        stride predictor's state match the scalar path's exactly.
         """
         hierarchy = self.hierarchy
-        stride_access = self.stride.access
-        i_observe = i_annotator.observe
-        d_observe = d_annotator.observe
-
-        def i_observer(blocks, frames, times):
-            for block, frame, when in zip(
-                blocks.tolist(), frames.tolist(), times.tolist()
-            ):
-                i_observe(block, frame, when, False)
-
-        def d_observer(blocks, frames, times, pcs, addrs, stores):
-            for block, frame, when, pc, address, is_store in zip(
-                blocks.tolist(), frames.tolist(), times.tolist(),
-                pcs.tolist(), addrs.tolist(), stores.tolist(),
-            ):
-                d_observe(
-                    block, frame, when,
-                    False if is_store else stride_access(pc, address),
-                )
-
+        i_annotator = _ChunkAnnotator(self.active_floor)
+        d_annotator = _ChunkAnnotator(self.active_floor, self.stride)
         outcome = run_batched(
-            hierarchy, self.clock, trace, i_observer, d_observer
+            hierarchy, self.clock, trace,
+            i_annotator.observe, d_annotator.observe,
         )
         result = SimulationResult(
             cycles=outcome.cycles,

@@ -8,8 +8,12 @@ tests drive random streams and real workloads through both paths and
 compare everything.
 """
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
@@ -21,9 +25,11 @@ from repro.core.policy import OptDrowsy, OptHybrid, OptSleep
 from repro.core.savings import evaluate_policy
 from repro.core.stacked import TRIO_SCHEMES, stacked_trio_savings
 from repro.cpu.simulator import simulate_trace
+from repro.cpu.trace import LOAD, NO_ACCESS, STORE, TraceChunk
 from repro.errors import SimulationError
 from repro.power.technology import paper_nodes
 from repro.prefetch.analysis import AnnotatingSimulator, _CacheAnnotator
+from repro.prefetch.stride import StridePredictor
 from repro.workloads import make_benchmark
 
 POLICIES = ("lru", "fifo", "random")
@@ -189,27 +195,149 @@ class TestResidualImplMatrix:
         assert compiled.profile.residual_impl == expected
 
 
-class TestAnnotationEquivalence:
-    def test_flags_identical_across_paths(self):
-        def run(batched):
-            simulator = AnnotatingSimulator()
-            simulator._ran = True
-            annotators = tuple(
-                _CacheAnnotator(cache.config.n_lines, simulator.active_floor)
-                for cache in (simulator.hierarchy.l1i, simulator.hierarchy.l1d)
-            )
-            trace = make_benchmark("gcc", scale=0.02).chunks()
-            runner = simulator._run_batched if batched else simulator._run_scalar
-            return runner(trace, *annotators)
+PAPER_BENCHMARKS = ("ammp", "applu", "gcc", "gzip", "mesa", "vortex")
 
-        scalar, batched = run(False), run(True)
-        assert scalar.result == batched.result
-        for cache in ("l1i", "l1d"):
-            a = scalar.annotated_for(cache)
-            b = batched.annotated_for(cache)
-            assert np.array_equal(a.nextline, b.nextline)
-            assert np.array_equal(a.stride, b.stride)
-            assert np.array_equal(a.tail, b.tail)
+
+def _rechunk(chunks, piece: int):
+    """Re-split a chunk stream into pieces of about ``piece`` instructions."""
+    for chunk in chunks:
+        for lo in range(0, len(chunk), piece):
+            yield chunk.slice(lo, lo + piece)
+
+
+def _stride_state(predictor):
+    rows = [
+        (pc, e.last_address, e.stride, e.confirmations)
+        for pc, e in predictor._table.items()
+    ]
+    return rows, predictor.predictions, predictor.correct
+
+
+def _annotate(trace, path, monkeypatch=None, residual="batched", **kwargs):
+    """Run one annotating simulation on the scalar or the batched path."""
+    if path == "batched":
+        monkeypatch.setenv("REPRO_KERNEL", residual)
+    simulator = AnnotatingSimulator(**kwargs)
+    simulator._ran = True
+    if path == "batched":
+        return simulator, simulator._run_batched(trace)
+    annotators = tuple(
+        _CacheAnnotator(cache.config.n_lines, simulator.active_floor)
+        for cache in (simulator.hierarchy.l1i, simulator.hierarchy.l1d)
+    )
+    return simulator, simulator._run_scalar(trace, *annotators)
+
+
+def _assert_same_annotation(scalar_run, batched_run):
+    (s_sim, scalar), (b_sim, batched) = scalar_run, batched_run
+    assert scalar.result == batched.result
+    assert scalar.result.l1i_intervals == batched.result.l1i_intervals
+    assert scalar.result.l1d_intervals == batched.result.l1d_intervals
+    for cache in ("l1i", "l1d"):
+        a = scalar.annotated_for(cache)
+        b = batched.annotated_for(cache)
+        assert np.array_equal(a.nextline, b.nextline), cache
+        assert np.array_equal(a.stride, b.stride), cache
+        assert np.array_equal(a.tail, b.tail), cache
+        # What the result store caches: the pickled populations.
+        assert pickle.dumps(a) == pickle.dumps(b), cache
+    assert _stride_state(s_sim.stride) == _stride_state(b_sim.stride)
+
+
+@st.composite
+def random_traces(draw):
+    """Short traces mixing sequential code, branches, loads and stores."""
+    n = draw(st.integers(1, 400))
+    steps = draw(st.lists(st.sampled_from([4, 4, 4, 4, 64, -128, 4096]),
+                          min_size=n, max_size=n))
+    pcs = np.maximum(np.cumsum(steps) + 8192, 0).astype(np.int64)
+    kinds = np.asarray(draw(st.lists(st.sampled_from([0, 0, 1, 1, 2]),
+                                     min_size=n, max_size=n)), dtype=np.uint8)
+    blocks = np.asarray(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)),
+                        dtype=np.int64)
+    addrs = np.where(kinds != NO_ACCESS, blocks * 32 + (pcs & 24), -1)
+    cuts = sorted(set(draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=5))))
+    return TraceChunk(pcs, addrs.astype(np.int64), kinds), cuts
+
+
+class TestAnnotationEquivalence:
+    """The vectorised annotator against the scalar per-access oracle.
+
+    Flags, tail masks, the pickled populations and the stride
+    predictor's table (entries, LRU order, counters) must all match.
+    """
+
+    def test_flags_identical_across_paths(self, monkeypatch):
+        def trace():
+            return make_benchmark("gcc", scale=0.02).chunks()
+
+        _assert_same_annotation(
+            _annotate(trace(), "scalar"),
+            _annotate(trace(), "batched", monkeypatch),
+        )
+
+    _scalar_runs: dict = {}
+
+    @pytest.mark.parametrize("residual", ("batched", "compiled"))
+    @pytest.mark.parametrize("name", PAPER_BENCHMARKS)
+    def test_paper_benchmarks_in_small_chunks(self, monkeypatch, name, residual):
+        # Pieces of a few hundred instructions make the block-last, gap
+        # and stride carries cross chunk boundaries constantly.
+        def trace():
+            return _rechunk(make_benchmark(name, scale=0.02).chunks(), 317)
+
+        if name not in self._scalar_runs:
+            self._scalar_runs[name] = _annotate(trace(), "scalar")
+        _assert_same_annotation(
+            self._scalar_runs[name],
+            _annotate(trace(), "batched", monkeypatch, residual),
+        )
+
+    @pytest.mark.parametrize("residual", ("batched", "compiled"))
+    def test_stride_table_eviction_is_live(self, monkeypatch, residual):
+        # 4200 static loads in a loop, each striding through its own
+        # array, with a static store after every second load: the
+        # 4096-entry table evicts on every lap.
+        n_pcs, laps = 6300, 4
+        load_pcs = 0x10000 + 4 * np.arange(n_pcs, dtype=np.int64)
+        pcs = np.tile(load_pcs, laps)
+        lap = np.repeat(np.arange(laps, dtype=np.int64), n_pcs)
+        addrs = 0x400000 + (pcs - 0x10000) * 512 + lap * 8
+        kinds = np.full(len(pcs), LOAD, dtype=np.uint8)
+        kinds[2::3] = STORE
+        chunk = TraceChunk(pcs, addrs, kinds)
+
+        def trace():
+            return _rechunk([chunk], 2999)  # chunk carries stay live
+
+        scalar = _annotate(trace(), "scalar")
+        batched = _annotate(trace(), "batched", monkeypatch, residual)
+        _assert_same_annotation(scalar, batched)
+        predictor = batched[0].stride
+        assert len(predictor) == 4096
+        # Unbounded, every load PC would be confident by its third lap.
+        unbounded = StridePredictor(capacity=None)
+        loads = kinds == LOAD
+        assert (
+            unbounded.access_many(pcs[loads], addrs[loads]).sum()
+            > predictor.correct
+        )
+
+    @given(case=random_traces(), capacity=st.sampled_from([2, 4096]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_traces(self, case, capacity):
+        chunk, cuts = case
+        bounds = [0] + cuts + [len(chunk)]
+
+        def trace():
+            return [chunk.slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _assert_same_annotation(
+                _annotate(trace(), "scalar", stride_table_capacity=capacity),
+                _annotate(trace(), "batched", monkeypatch,
+                          stride_table_capacity=capacity),
+            )
 
 
 class TestKernelSupport:

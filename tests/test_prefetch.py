@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
@@ -65,6 +67,61 @@ class TestStridePredictor:
         assert predictor.predictions == 2
         assert predictor.correct == 1
         assert predictor.accuracy == pytest.approx(0.5)
+
+
+def _table_state(predictor):
+    """Table rows in LRU order, plus the counters."""
+    rows = [
+        (pc, e.last_address, e.stride, e.confirmations)
+        for pc, e in predictor._table.items()
+    ]
+    return rows, predictor.predictions, predictor.correct
+
+
+@st.composite
+def load_streams(draw):
+    """Loads over a few PCs with mostly-strided addresses, cut into calls."""
+    n = draw(st.integers(1, 200))
+    pcs = draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    steps = draw(st.lists(st.sampled_from([0, 8, 8, 8, -4, 64]), min_size=n, max_size=n))
+    addrs = np.cumsum(steps) + 1000
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    return np.asarray(pcs, dtype=np.int64), addrs.astype(np.int64), cuts
+
+
+class TestStridePredictorMany:
+    """``access_many`` is the batched form of repeated ``access`` calls."""
+
+    @given(stream=load_streams(), capacity=st.sampled_from([None, 1, 2, 3, 4096]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_repeated_access(self, stream, capacity):
+        pcs, addrs, cuts = stream
+        scalar = StridePredictor(capacity)
+        expected = [scalar.access(int(p), int(a)) for p, a in zip(pcs, addrs)]
+        batched = StridePredictor(capacity)
+        bounds = [0] + cuts + [len(pcs)]
+        got = np.concatenate([
+            batched.access_many(pcs[lo:hi], addrs[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ])
+        assert got.dtype == bool
+        assert got.tolist() == expected
+        assert _table_state(batched) == _table_state(scalar)
+
+    def test_eviction_resets_the_stride(self):
+        pcs = np.array([1, 1, 1, 2, 3, 1, 1, 1, 1], dtype=np.int64)
+        addrs = np.array([0, 8, 16, 0, 0, 24, 32, 40, 48], dtype=np.int64)
+        predictor = StridePredictor(capacity=2)
+        hits = predictor.access_many(pcs, addrs)
+        # pc 1 is evicted by pc 3, so its confirmed stride is forgotten
+        # and must be confirmed twice again before it predicts.
+        assert hits.tolist() == [False] * 8 + [True]
+
+    def test_empty_call_is_a_no_op(self):
+        predictor = StridePredictor()
+        empty = np.zeros(0, dtype=np.int64)
+        assert predictor.access_many(empty, empty).shape == (0,)
+        assert len(predictor) == 0 and predictor.predictions == 0
 
 
 class TestNextLinePrefetcher:
