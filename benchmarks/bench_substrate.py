@@ -4,8 +4,6 @@ Not paper artifacts — these track the performance of the machinery the
 experiments run on, so regressions in the hot loops are visible.
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,6 @@ from repro.core.policy import OptHybrid
 from repro.core.savings import evaluate_policy
 from repro.cpu.simulator import TraceSimulator
 from repro.engine import ExecutionEngine, NullStore, ResultStore, SimulationJob
-from repro.engine import transport
 from repro.power.technology import paper_nodes
 from repro.prefetch.analysis import AnnotatingSimulator
 from repro.simpoint.bbv import profile_trace
@@ -124,76 +121,21 @@ def test_residual_compiled_throughput(benchmark):
 
 
 @pytest.fixture(scope="module")
-def dispatch_traces(tmp_path_factory):
-    """codec-none traces of ~1e5 and ~1e6 accesses for transport benches."""
-    directory = tmp_path_factory.mktemp("dispatch")
-    paths = {}
-    for label, scale in (("small", 0.022), ("large", 0.22)):
-        path = directory / f"gzip-{label}.rtr"
-        record_benchmark("gzip", path, scale=scale, codec="none")
-        paths[label] = str(path)
-    return paths
+def dispatch_trace(tmp_path_factory):
+    """A codec-none trace of ~1e6 accesses for the first-chunk bench."""
+    path = tmp_path_factory.mktemp("dispatch") / "gzip-large.rtr"
+    record_benchmark("gzip", path, scale=0.22, codec="none")
+    return str(path)
 
 
-def _first_chunk_seconds(make_iterator, repeats: int = 20) -> float:
-    next(make_iterator())  # warm page cache / handle manifest once
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        chunk = next(make_iterator())
-        best = min(best, time.perf_counter() - start)
-        assert len(chunk) > 0
-    return best
-
-
-def test_dispatch_first_result_pickle(benchmark, dispatch_traces):
+def test_dispatch_first_result_pickle(benchmark, dispatch_trace):
     """Worker time-to-first-chunk streaming the large trace from disk."""
-    path = dispatch_traces["large"]
 
     def run():
-        return next(TraceRecording(path).chunks())
+        return next(TraceRecording(dispatch_trace).chunks())
 
     chunk = benchmark(run)
     assert len(chunk) > 0
-
-
-def test_dispatch_first_result_shm(benchmark, dispatch_traces):
-    """Worker time-to-first-chunk attaching to a published shm arena.
-
-    Also pins the headline transport property: the attach cost is flat
-    in trace size (<= 1.2x growth from ~1e5 to ~1e6 accesses), where the
-    legacy path re-reads and re-verifies proportionally more.
-    """
-    small, large = dispatch_traces["small"], dispatch_traces["large"]
-    transport.REGISTRY.reset()
-    assert transport.REGISTRY.acquire(small, "shm") is not None
-    assert transport.REGISTRY.acquire(large, "shm") is not None
-    try:
-        # Attach cost is O(1) in trace size; the bound is tight relative
-        # to the ~0.5ms samples, so re-measure on transient noise — a
-        # real O(n) regression fails every attempt.
-        for _ in range(3):
-            t_small = _first_chunk_seconds(
-                lambda: transport.overlay_chunks(small)
-            )
-            t_large = _first_chunk_seconds(
-                lambda: transport.overlay_chunks(large)
-            )
-            growth = t_large / t_small if t_small else float("inf")
-            if growth <= 1.2:
-                break
-        benchmark.extra_info["first_chunk_seconds_1e5"] = t_small
-        benchmark.extra_info["first_chunk_seconds_1e6"] = t_large
-        benchmark.extra_info["growth_1e5_to_1e6"] = growth
-        assert growth <= 1.2, (t_small, t_large)
-
-        def run():
-            return next(transport.overlay_chunks(large))
-
-        chunk = benchmark(run)
-        assert len(chunk) > 0
-    finally:
-        transport.REGISTRY.reset()
 
 
 def test_policy_evaluation_throughput(benchmark):

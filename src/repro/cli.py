@@ -230,14 +230,6 @@ def _add_run_parser(commands) -> None:
         "pure-python batched kernel — results are bit-identical either way",
     )
     run.add_argument(
-        "--transport",
-        choices=("auto", "pickle", "shm", "disk"),
-        default=None,
-        help="recorded-trace transport to workers (default: REPRO_TRANSPORT "
-        "or 'auto'); shm/disk publish zero-copy arenas, pickle streams "
-        "from the trace file in each worker",
-    )
-    run.add_argument(
         "--no-cache",
         action="store_true",
         help="bypass the on-disk result cache (neither read nor write it)",
@@ -1087,11 +1079,9 @@ def run_command(args) -> int:
         except ReproError as error:
             return _fail(str(error))
     # Selection travels through the environment so pool and subprocess
-    # workers resolve the same kernel/transport the parent did.
+    # workers resolve the same kernel the parent did.
     if args.kernel is not None:
         os.environ["REPRO_KERNEL"] = args.kernel
-    if args.transport is not None:
-        os.environ["REPRO_TRANSPORT"] = args.transport
     try:
         journal = _make_journal(args)
         engine = ExecutionEngine(

@@ -26,8 +26,8 @@ own journal while ``sweep status``/``sweep merge`` read the union.
 Journal entries are keyed by the job's content address, which is
 backend-agnostic — a run checkpointed on the remote backend resumes
 cleanly on any rung of the degradation ladder (and vice versa), and its
-manifest (v9) carries the ``fault_domains`` profile of whichever rungs
-actually ran.
+manifest carries the ``fault_domains`` profile of whichever rungs
+actually ran whenever a host ran work or a dispatch descended a rung.
 
 Journal I/O failures (read-only disk, quota) are swallowed: a run that
 cannot checkpoint still completes, it just cannot be resumed.

@@ -165,27 +165,14 @@ def execute_job(job: SimulationJob) -> AnnotatedSimulationResult:
 
     Recorded traces are *streamed*: the registry hands back a chunk
     iterator backed by the on-disk reader, so peak memory stays bounded
-    by the chunk size however large the trace file is.  When the
-    dispatching parent published the trace into a zero-copy arena
-    (:mod:`repro.engine.transport`), the worker attaches to it instead
-    of re-reading the file — the chunks carry identical content either
-    way, so results are bit-identical across transports.
+    by the chunk size however large the trace file is.  The reader runs
+    in whichever process simulates the job.
     """
     if job.benchmark in BENCHMARK_NAMES:
         chunks = make_benchmark(job.benchmark, scale=job.scale).chunks()
     else:
-        from ..traces.registry import is_trace_ref, parse_trace_ref, resolve_workload
+        from ..traces.registry import resolve_workload
 
-        source = resolve_workload(job.benchmark)
-        chunks = None
-        if is_trace_ref(job.benchmark):
-            from .transport import overlay_chunks
-
-            ref = parse_trace_ref(job.benchmark)
-            chunks = overlay_chunks(
-                ref.path, ref.window, ref.window_instructions
-            )
-        if chunks is None:
-            chunks = source.chunks(job.scale)
+        chunks = resolve_workload(job.benchmark).chunks(job.scale)
     simulator = AnnotatingSimulator(pipeline=job.pipeline)
     return simulator.run(chunks)

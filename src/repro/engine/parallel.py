@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cache.kernel import resolve_kernel_mode
 from ..errors import EngineError
-from . import transport
 from .backends import build_chain, default_watchdog, resolve_backend_name
 from .checkpoint import RunJournal
 from .faults import FaultPlan, active_plan, apply_store_fault
@@ -134,9 +133,7 @@ class ExecutionEngine:
                 f"resuming run {journal.run_id!r}: "
                 f"{len(self._journaled)} job(s) already journaled"
             )
-        self.transport = transport.resolve_transport_mode()
         self.kernel_mode = resolve_kernel_mode()
-        self._traces_published = 0
         self.telemetry.context.update(
             {
                 "max_workers": self.max_workers,
@@ -150,7 +147,6 @@ class ExecutionEngine:
                 "run_id": None if journal is None else journal.run_id,
                 "resumed": bool(journal is not None and resume),
                 "kernel_mode": self.kernel_mode,
-                "transport": self.transport,
             }
         )
         from ..cache.kernel import resolve_residual_impl
@@ -167,8 +163,6 @@ class ExecutionEngine:
                         else "python"
                     )
                 ),
-                "transport": self.transport,
-                "traces_published": 0,
             }
         )
 
@@ -265,25 +259,7 @@ class ExecutionEngine:
             self.telemetry.emit(
                 "job-started", job=job.describe(), key=job.key()
             )
-        # Publish recorded traces into zero-copy arenas for the worker
-        # backends; the parent owns the segments and unlinks them when
-        # the dispatch completes, however workers fared.
-        published: List[str] = []
-        if self.supervisor.chain:
-            published = transport.publish_for_jobs(pending, self.transport)
-            for path in published:
-                self.telemetry.emit(
-                    "trace-published", path=path, transport=self.transport
-                )
-            if published:
-                self._traces_published += len(published)
-                self.telemetry.record_substrate(
-                    {"traces_published": self._traces_published}
-                )
-        try:
-            dispatch = self.supervisor.dispatch(pending)
-        finally:
-            transport.release_paths(published)
+        dispatch = self.supervisor.dispatch(pending)
         for note in dispatch.notes:
             self.telemetry.note(note)
         for entry in dispatch.retries:

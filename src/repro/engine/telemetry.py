@@ -47,15 +47,19 @@ from .jobs import SOURCE_CACHED, JobOutcome
 #: multi-daemon fleet: peer id, lease acquire/reclaim/fence counters,
 #: guarded-publish outcomes, remote-coalescing and GC totals — empty
 #: outside a coordinating daemon); version 8 added the ``substrate``
-#: section (the run's resolved kernel mode, residual implementation,
-#: trace transport mode and published-arena totals) plus per-job
+#: section (the run's resolved simulation substrate) plus per-job
 #: ``residual_impl`` (which residual-loop implementation — ``python``,
 #: ``compiled`` or ``scalar`` — produced the result); version 9 added
 #: the ``fault_domains`` section (the ``FaultDomainProfile`` of a
 #: remote-capable run: per-host dispatch/retry/breaker-transition
 #: counters, degradation-ladder descents in order, the rungs that
-#: completed work and the final rung — empty for purely local runs).
-MANIFEST_VERSION = 9
+#: completed work and the final rung); version 10 writes a section only
+#: for a subsystem that ran: ``service`` and ``coordination`` only when a
+#: daemon recorded them, ``heartbeats`` only when non-empty, and
+#: ``fault_domains`` only when a host-aware backend ran or a dispatch
+#: descended a rung, and ``substrate`` keeps only the kernel mode and
+#: residual implementation (its two trace-dispatch keys are gone).
+MANIFEST_VERSION = 10
 
 
 class Stopwatch:
@@ -125,19 +129,20 @@ class RunTelemetry:
     wall_seconds: float = 0.0
     context: Dict = field(default_factory=dict)
     store_stats: Dict = field(default_factory=dict)
-    #: The ``ServiceProfile`` of a daemon-owned run (manifest v6); empty
-    #: for plain CLI runs.
+    #: The ``ServiceProfile`` of a daemon-owned run (manifest v6); empty,
+    #: and left out of the manifest, for plain CLI runs.
     service: Dict = field(default_factory=dict)
     #: The ``CoordinationProfile`` of a multi-daemon fleet (manifest
-    #: v7); empty outside a coordinating daemon.
+    #: v7); empty, and left out of the manifest, outside a coordinating
+    #: daemon.
     coordination: Dict = field(default_factory=dict)
     #: The run's simulation substrate (manifest v8): resolved kernel
-    #: mode, residual implementation, trace transport mode and
-    #: published-arena totals.
+    #: mode and residual implementation.
     substrate: Dict = field(default_factory=dict)
     #: The ``FaultDomainProfile`` of a remote-capable run (manifest v9):
     #: per-host counters and breaker transitions, ladder descents, rungs
-    #: used and the final rung.  Empty for purely local runs.
+    #: used and the final rung.  Left out of the manifest unless a host
+    #: reported counters or a dispatch descended a rung.
     fault_domains: Dict = field(default_factory=dict)
     #: Live event observers (not part of the manifest).
     observers: List[Callable] = field(default_factory=list, repr=False)
@@ -271,8 +276,8 @@ class RunTelemetry:
         Daemons record it on drain/shutdown: peer identity, lease
         counters (acquired/contended/reclaimed/released/fenced),
         guarded-publish outcomes, remote-coalescing totals and GC
-        sweeps.  Plain CLI runs never touch it, so their manifests keep
-        an empty section.
+        sweeps.  Plain CLI runs never touch it, so their manifests have
+        no such section.
         """
         self.coordination = dict(profile)
 
@@ -309,13 +314,7 @@ class RunTelemetry:
                 self.fault_domains["final_rung"] = final
 
     def record_substrate(self, profile: Dict) -> None:
-        """Merge substrate facts (kernel + transport) into the manifest.
-
-        The engine records its resolved kernel/transport selection at
-        construction and updates the published-arena totals as
-        dispatches publish traces, so the call merges rather than
-        replaces.
-        """
+        """Merge substrate facts (kernel mode, residual loop) into the manifest."""
         with self._lock:
             self.substrate.update(profile)
 
@@ -425,7 +424,7 @@ class RunTelemetry:
     # ------------------------------------------------------------------
     def manifest(self) -> Dict:
         """The full run manifest as a JSON-ready dict."""
-        return {
+        manifest = {
             "manifest_version": MANIFEST_VERSION,
             "engine": dict(self.context),
             "totals": {
@@ -481,14 +480,20 @@ class RunTelemetry:
             "faults": list(self.faults),
             "notes": list(self.notes),
             "quarantine": [dict(q) for q in self.quarantines],
-            "heartbeats": [dict(h) for h in self.heartbeats],
             "breakers": dict(self.breakers),
             "store": dict(self.store_stats),
-            "service": dict(self.service),
-            "coordination": dict(self.coordination),
             "substrate": dict(self.substrate),
-            "fault_domains": dict(self.fault_domains),
         }
+        # Sections of subsystems that did not run are left out (v10).
+        if self.heartbeats:
+            manifest["heartbeats"] = [dict(h) for h in self.heartbeats]
+        if self.service:
+            manifest["service"] = dict(self.service)
+        if self.coordination:
+            manifest["coordination"] = dict(self.coordination)
+        if self.fault_domains.get("hosts") or self.fault_domains.get("ladder"):
+            manifest["fault_domains"] = dict(self.fault_domains)
+        return manifest
 
     def write_manifest(self, path) -> str:
         """Write the manifest as indented JSON; returns the path written."""

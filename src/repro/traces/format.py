@@ -36,11 +36,8 @@ host fails with a clear error, not an ImportError, on a host without it.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import logging
-import mmap
 import os
 import struct
 import tempfile
@@ -69,12 +66,6 @@ _COLUMNS = [["pc", "<i8"], ["daddr", "<i8"], ["kind", "|u1"]]
 _LEN_STRUCT = struct.Struct("<I")
 _TRAILER_STRUCT = struct.Struct("<Q8s")
 _MAX_META_BYTES = 1 << 20  # sanity bound on a metadata frame
-
-logger = logging.getLogger(__name__)
-
-#: Whether the mmap-fallback warning has been emitted (once per process).
-_MMAP_WARNED = False
-
 
 def _zstd_codec() -> Optional[Tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]]:
     try:
@@ -173,28 +164,6 @@ def _read_frame_meta(fh: BinaryIO, path: Path, context: str) -> Dict[str, Any]:
     return meta
 
 
-def _read_frame_meta_at(
-    buffer, pos: int, path: Path, context: str
-) -> Tuple[Dict[str, Any], int]:
-    """:func:`_read_frame_meta` against an in-memory buffer (mmap path)."""
-    end = pos + _LEN_STRUCT.size
-    if end > len(buffer):
-        raise TraceFormatError(f"{path}: truncated while reading {context} frame length")
-    (length,) = _LEN_STRUCT.unpack(buffer[pos:end])
-    if length == 0 or length > _MAX_META_BYTES:
-        raise TraceFormatError(f"{path}: implausible {context} frame length {length}")
-    blob = bytes(buffer[end : end + length])
-    if len(blob) != length:
-        raise TraceFormatError(f"{path}: truncated while reading {context} frame metadata")
-    try:
-        meta = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise TraceFormatError(f"{path}: corrupt {context} frame metadata: {error}") from None
-    if not isinstance(meta, dict) or "kind" not in meta:
-        raise TraceFormatError(f"{path}: malformed {context} frame metadata")
-    return meta, end + length
-
-
 def _encode_chunk(chunk: TraceChunk) -> bytes:
     rec = np.empty(len(chunk), dtype=RECORD_DTYPE)
     rec["pc"] = chunk.pcs
@@ -216,22 +185,6 @@ def _decode_chunk(raw: bytes, path: Path, index: int) -> TraceChunk:
             np.ascontiguousarray(rec["daddr"], dtype=np.int64),
             np.ascontiguousarray(rec["kind"], dtype=np.uint8),
         )
-    except TraceError as error:
-        raise TraceFormatError(f"{path}: chunk {index} holds invalid accesses: {error}") from None
-
-
-def _decode_chunk_view(
-    buffer, offset: int, count: int, path: Path, index: int
-) -> TraceChunk:
-    """Zero-copy chunk decode: columns are strided views into ``buffer``.
-
-    Used by the mmap reader path (codec ``none``), where the payload
-    bytes already sit in the page cache — the kernel consumes the views
-    directly instead of materializing copies.
-    """
-    rec = np.frombuffer(buffer, dtype=RECORD_DTYPE, count=count, offset=offset)
-    try:
-        return TraceChunk(rec["pc"], rec["daddr"], rec["kind"])
     except TraceError as error:
         raise TraceFormatError(f"{path}: chunk {index} holds invalid accesses: {error}") from None
 
@@ -517,19 +470,8 @@ class TraceRecording:
         verified and decoded only when the consumer advances the
         generator.  The running whole-trace digest is checked against
         the end frame, so a fully consumed stream is guaranteed intact.
-
-        Uncompressed traces (codec ``none``) are memory-mapped when the
-        filesystem allows it: chunks become zero-copy views into the
-        page cache (checksums still verified) instead of materialized
-        copies.  When mmap fails the reader falls back to buffered
-        reads — logged once — with identical results.
         """
 
-        if self.codec == "none":
-            mapped = self._open_mmap()
-            if mapped is not None:
-                yield from self._mapped_chunks(mapped)
-                return
         with self.path.open("rb") as fh:
             fh.seek(len(MAGIC))
             _read_frame_meta(fh, self.path, "header")
@@ -560,101 +502,6 @@ class TraceRecording:
                 running.update(raw)
                 yield _decode_chunk(raw, self.path, index)
                 index += 1
-
-    def _open_mmap(self) -> Optional[mmap.mmap]:
-        """Map the file read-only; ``None`` (logged once) when mmap fails."""
-        global _MMAP_WARNED
-        try:
-            with self.path.open("rb") as fh:
-                return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError, OverflowError) as error:
-            if not _MMAP_WARNED:
-                _MMAP_WARNED = True
-                logger.warning(
-                    "mmap of %s failed (%s); falling back to buffered "
-                    "trace reads for this process",
-                    self.path, error,
-                )
-            return None
-
-    def _mapped_chunks(self, mapped: mmap.mmap) -> Iterator[TraceChunk]:
-        """The mmap twin of :meth:`chunks`: same checks, zero-copy views."""
-        view = memoryview(mapped)
-        try:
-            if mapped[: len(MAGIC)] != MAGIC:
-                raise TraceFormatError(
-                    f"{self.path}: not a recorded trace (bad magic)"
-                )
-            pos = len(MAGIC)
-            _, pos = _read_frame_meta_at(mapped, pos, self.path, "header")
-            running = hashlib.sha256()
-            index = 0
-            while True:
-                meta, pos = _read_frame_meta_at(
-                    mapped, pos, self.path, f"chunk {index}"
-                )
-                kind = meta.get("kind")
-                if kind == "end":
-                    if meta.get("chunks") != index:
-                        raise TraceFormatError(
-                            f"{self.path}: end frame declares "
-                            f"{meta.get('chunks')} chunks but {index} were read"
-                        )
-                    if meta.get("digest") != running.hexdigest():
-                        raise TraceFormatError(
-                            f"{self.path}: whole-trace digest mismatch; "
-                            "the file is corrupt"
-                        )
-                    return
-                if kind != "chunk":
-                    raise TraceFormatError(
-                        f"{self.path}: unexpected frame kind {kind!r}"
-                    )
-                if meta.get("index") != index:
-                    raise TraceFormatError(
-                        f"{self.path}: chunk frames out of order "
-                        f"(expected index {index}, found {meta.get('index')!r})"
-                    )
-                declared = meta.get("payload_bytes")
-                if not isinstance(declared, int) or declared < 0:
-                    raise TraceFormatError(
-                        f"{self.path}: chunk {index} declares no payload size"
-                    )
-                if pos + declared > len(mapped):
-                    raise TraceFormatError(
-                        f"{self.path}: chunk {index} truncated "
-                        f"(expected {declared} payload bytes)"
-                    )
-                raw = view[pos : pos + declared]
-                if hashlib.sha256(raw).hexdigest() != meta.get("sha256"):
-                    raise TraceFormatError(
-                        f"{self.path}: chunk {index} checksum mismatch; "
-                        "the file is corrupt"
-                    )
-                expected = meta.get("instructions")
-                if declared % RECORD_DTYPE.itemsize:
-                    raise TraceFormatError(
-                        f"{self.path}: chunk {index} payload is {declared} "
-                        f"bytes, not a multiple of the "
-                        f"{RECORD_DTYPE.itemsize}-byte record size"
-                    )
-                count = declared // RECORD_DTYPE.itemsize
-                if isinstance(expected, int) and count != expected:
-                    raise TraceFormatError(
-                        f"{self.path}: chunk {index} holds {count} accesses "
-                        f"but declares {expected}"
-                    )
-                running.update(raw)
-                yield _decode_chunk_view(mapped, pos, count, self.path, index)
-                pos += declared
-                index += 1
-        finally:
-            view.release()
-            # Chunk views handed to a still-running consumer keep the
-            # mapping alive; close() then raises BufferError and the map
-            # is released when the last view is garbage-collected.
-            with contextlib.suppress(BufferError):
-                mapped.close()
 
     def window_chunks(self, window: int, window_instructions: int) -> Iterator[TraceChunk]:
         """Yield only the accesses of one SimPoint window, seeking past the rest.

@@ -9,6 +9,7 @@ import pytest
 from repro.cli import main
 from repro.cpu.pipeline import PipelineConfig
 from repro.engine import (
+    MANIFEST_VERSION,
     SCHEMA_VERSION,
     SOURCE_CACHED,
     SOURCE_SUBPROCESS_FALLBACK,
@@ -297,27 +298,38 @@ class TestWorkerCount:
 
 
 class TestTelemetry:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_simulating_local_run_writes_no_fault_domains(self, jobs, tmp_path):
+        """A cold local run simulates on one rung and never descends, so
+        the manifest has no ``fault_domains`` section (nor any other
+        section of a subsystem that did not run)."""
+        engine = ExecutionEngine(jobs=jobs, store=ResultStore(tmp_path / "c"))
+        engine.run(small_jobs())
+        manifest = engine.telemetry.manifest()
+        assert manifest["totals"]["simulated"] == len(SUITE_NAMES)
+        for section in ("service", "coordination", "heartbeats", "fault_domains"):
+            assert section not in manifest
+
     def test_manifest_schema(self, warm_store, tmp_path):
         directory, _ = warm_store
         engine = ExecutionEngine(jobs=2, store=ResultStore(directory))
         engine.run(small_jobs())
         path = engine.telemetry.write_manifest(tmp_path / "manifest.json")
         manifest = json.loads(open(path, encoding="utf-8").read())
-        assert manifest["manifest_version"] == 9
-        assert manifest["service"] == {}
-        assert manifest["coordination"] == {}
-        assert manifest["fault_domains"] == {}  # purely local run
+        assert manifest["manifest_version"] == MANIFEST_VERSION == 10
+        # A plain CLI-style run: no daemon, no watchdog event, no host.
+        for section in ("service", "coordination", "heartbeats", "fault_domains"):
+            assert section not in manifest
         substrate = manifest["substrate"]
+        assert set(substrate) == {"kernel_mode", "residual_impl"}
         assert substrate["kernel_mode"] in ("scalar", "batched", "compiled")
         assert substrate["residual_impl"] in ("python", "compiled", "scalar")
-        assert substrate["transport"] in ("pickle", "shm", "disk")
-        assert substrate["traces_published"] == 0  # synthetic workloads
         for row in manifest["jobs"]:
             assert row["residual_impl"] in ("", "python", "compiled", "scalar")
         assert manifest["retries"] == []
         assert manifest["faults"] == []
         assert manifest["quarantine"] == []
-        assert manifest["heartbeats"] == []
+        assert manifest["totals"]["heartbeat_events"] == 0
         totals = manifest["totals"]
         for field in (
             "jobs",

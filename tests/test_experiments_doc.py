@@ -275,3 +275,107 @@ def test_every_doc_table_has_a_checker():
 @pytest.mark.parametrize("heading, index, rows", list(_cases()))
 def test_doc_table_matches_the_scale_1_report(heading, index, rows):
     assert CHECKERS[heading][index](rows) == len(rows) - 1 > 0
+
+
+# ----------------------------------------------------------------------
+# Prose: the bullet list under Figure 8.
+# ----------------------------------------------------------------------
+def figure8_bullets():
+    """The Figure 8 section's bullet list, whitespace-normalised."""
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    section = text.split("\n## Figure 8 ", 1)[1].split("\n## ", 1)[0]
+    bullets = section.split("Everything the paper concludes", 1)[1]
+    return " ".join(bullets.split("\n\n", 2)[1].split())
+
+
+def figure8_gap(cache, row, high, low, digits):
+    """``high - low`` of one Figure 8 report row, rounded like the prose."""
+    value = float(cell("figure8", cache, row, high)) - float(
+        cell("figure8", cache, row, low)
+    )
+    return round(value, digits) if digits else float(round(value))
+
+
+FIGURE8_CLAIMS = [
+    # (prose pattern, [(cache, row, high, low, digits) per captured number])
+    (
+        r"measured ([\d.]+) % I / ([\d.]+) % D; paper ([\d.]+) % / ([\d.]+) %",
+        [
+            ("icache", "average", None, "OPT-Hybrid", 1),
+            ("dcache", "average", None, "OPT-Hybrid", 1),
+            ("icache", "paper avg", None, "OPT-Hybrid", 1),
+            ("dcache", "paper avg", None, "OPT-Hybrid", 1),
+        ],
+    ),
+    (
+        r"decay scheme by ~(\d+) points \(I\) / ~(\d+) points \(D\) — "
+        r"paper: (\d+) / (\d+)",
+        [
+            ("icache", "average", "OPT-Hybrid", "Sleep(10K)", 0),
+            ("dcache", "average", "OPT-Hybrid", "Sleep(10K)", 0),
+            ("icache", "paper avg", "OPT-Hybrid", "Sleep(10K)", 0),
+            ("dcache", "paper avg", "OPT-Hybrid", "Sleep(10K)", 0),
+        ],
+    ),
+    (
+        r"oracle within ([\d.]+) % \(I\) / ([\d.]+) % \(D\)",
+        [
+            ("icache", "average", "OPT-Hybrid", "Prefetch-B", 1),
+            ("dcache", "average", "OPT-Hybrid", "Prefetch-B", 1),
+        ],
+    ),
+    (
+        r"beats Sleep\(10K\) by (\d+) \(I\) / (\d+) \(D\) points",
+        [
+            ("icache", "average", "Prefetch-B", "Sleep(10K)", 0),
+            ("dcache", "average", "Prefetch-B", "Sleep(10K)", 0),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "pattern, sources",
+    FIGURE8_CLAIMS,
+    ids=["remaining", "hybrid-over-decay", "prefetch-b-gap", "prefetch-b-over-sleep"],
+)
+def test_figure8_prose_matches_the_scale_1_report(pattern, sources):
+    match = re.search(pattern, figure8_bullets())
+    assert match, pattern
+    for text, (cache, row, high, low, digits) in zip(match.groups(), sources):
+        if high is None:  # remaining leakage: 100 - savings
+            expected = remaining(cell("figure8", cache, row, low))
+        else:
+            expected = figure8_gap(cache, row, high, low, digits)
+        assert float(text) == expected, (pattern, text, expected)
+
+
+def test_figure8_prose_paper_gaps_match_the_report_note():
+    # The report's own note carries the paper's Prefetch-B gaps.
+    note = re.search(
+        r"note: Prefetch-B approaches OPT-Hybrid within ([\d.]+)% \(I\) / "
+        r"([\d.]+)% \(D\); paper: ([\d.]+)% / ([\d.]+)%",
+        (ROOT / "results_scale1.txt").read_text(),
+    )
+    prose = re.search(
+        r"oracle within ([\d.]+) % \(I\) / ([\d.]+) % \(D\) — "
+        r"paper: ([\d.]+) % / ([\d.]+) %",
+        figure8_bullets(),
+    )
+    assert note and prose
+    assert [float(v) for v in prose.groups()] == [float(v) for v in note.groups()]
+
+
+def test_figure8_prose_scheme_ordering_holds_per_benchmark():
+    # "OPT-Hybrid ≥ OPT-Sleep(10K) ≥ Sleep(10K) ≥ OPT-Drowsy on every benchmark"
+    assert "OPT-Hybrid ≥ OPT-Sleep(10K) ≥ Sleep(10K) ≥ OPT-Drowsy on every" in (
+        figure8_bullets()
+    )
+    order = ["OPT-Hybrid", "OPT-Sleep(10K)", "Sleep(10K)", "OPT-Drowsy"]
+    for cache in ("icache", "dcache"):
+        _, rows = REPORT[("figure8", cache)]
+        benchmarks = [label for label in rows if label not in ("average", "paper avg")]
+        assert len(benchmarks) == 6
+        for benchmark in benchmarks:
+            values = [float(cell("figure8", cache, benchmark, s)) for s in order]
+            assert values == sorted(values, reverse=True), (cache, benchmark)

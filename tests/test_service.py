@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.cli import EXIT_REJECTED, main
-from repro.engine import ExecutionEngine, ResultStore, SimulationJob
+from repro.engine import MANIFEST_VERSION, ExecutionEngine, ResultStore, SimulationJob
 from repro.errors import ReproError
 from repro.service import (
     AdmissionFull,
@@ -613,13 +613,13 @@ class TestDrainAndResume:
             [SimulationJob("gzip", scale=SMALL)], client="drained"
         )
         # Graceful stop without ever starting the loop: the ticket stays
-        # journaled as queued and the ServiceProfile lands in manifest v7.
+        # journaled as queued and the ServiceProfile lands in the manifest.
         import asyncio
 
         asyncio.run(daemon.stop())
         manifest_path = tmp_path / "cache" / "service" / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        assert manifest["manifest_version"] == 9
+        assert manifest["manifest_version"] == MANIFEST_VERSION
         assert manifest["coordination"]["peer_id"] == daemon.peer_id
         assert manifest["service"]["tickets"]["queued"] == 1
         assert manifest["service"]["draining"] is True

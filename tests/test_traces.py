@@ -20,8 +20,14 @@ from repro.cache.kernel import validate_chunk, validated_chunks
 from repro.cli import main
 from repro.cpu.simulator import simulate_trace
 from repro.cpu.trace import LOAD, NO_ACCESS, STORE, TraceChunk, merge_chunks
-from repro.engine import ExecutionEngine, ResultStore, SimulationJob
-from repro.engine.jobs import SOURCE_CACHED
+from repro.engine import (
+    ExecutionEngine,
+    NullStore,
+    ResultStore,
+    RetryPolicy,
+    SimulationJob,
+)
+from repro.engine.jobs import SOURCE_CACHED, SOURCE_PARALLEL, SOURCE_SUBPROCESS
 from repro.errors import (
     ConfigurationError,
     EngineError,
@@ -82,6 +88,13 @@ def recorded(tmp_path_factory, gzip_chunks):
     path = tmp_path_factory.mktemp("traces") / "gzip.rtr"
     info = record_benchmark("gzip", path, scale=SMALL, chunk_instructions=20_000)
     return info
+
+
+@pytest.fixture(scope="module")
+def recorded_none(tmp_path_factory, gzip_chunks):
+    """The same gzip trace, uncompressed (codec ``none``)."""
+    path = tmp_path_factory.mktemp("traces-none") / "gzip.rtr"
+    return record_chunks(gzip_chunks, path, codec="none", chunk_instructions=20_000)
 
 
 def serial_engine(tmp_path):
@@ -329,6 +342,55 @@ class TestStreamingEquality:
         assert windowed.cycles == inline.cycles
         assert windowed.l1i_intervals == inline.l1i_intervals
         assert windowed.l1d_intervals == inline.l1d_intervals
+
+    @pytest.mark.parametrize(
+        "backend,faults",
+        [
+            ("pool", None),
+            ("subprocess", None),
+            ("pool", "crash:*@*:attempt=1"),
+            ("subprocess", "crash:*@*:attempt=1"),
+        ],
+        ids=["pool", "subprocess", "pool-crash", "subprocess-crash"],
+    )
+    def test_worker_backends_match_serial(
+        self, recorded_none, monkeypatch, backend, faults
+    ):
+        # Each worker streams its trace job from the file; a worker that
+        # dies mid-job on the first attempt costs a retry, not a result.
+        path = recorded_none.path
+        jobs = [
+            SimulationJob(format_trace_ref(path)),
+            SimulationJob(format_trace_ref(path, 1, 20_000)),
+        ]
+
+        def documents(engine):
+            outcomes = engine.run(jobs)
+            docs = [
+                dumps_stable(job_result_payload(job, outcomes[job].annotated))
+                for job in jobs
+            ]
+            return outcomes, docs
+
+        _, expected = documents(
+            ExecutionEngine(jobs=1, backend="serial", store=NullStore())
+        )
+        if faults is not None:
+            monkeypatch.setenv("REPRO_FAULTS", faults)
+        outcomes, actual = documents(
+            ExecutionEngine(
+                jobs=2,
+                backend=backend,
+                store=NullStore(),
+                retry=RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05),
+            )
+        )
+        assert actual == expected
+        if faults is None:
+            worker = SOURCE_PARALLEL if backend == "pool" else SOURCE_SUBPROCESS
+            assert {outcomes[job].source for job in jobs} == {worker}
+        else:
+            assert all(outcomes[job].attempts > 1 for job in jobs)
 
 
 # ----------------------------------------------------------------------
