@@ -1,8 +1,7 @@
 """Record the substrate performance baseline.
 
-Runs ``benchmarks/bench_substrate.py``, ``benchmarks/bench_service.py``,
-``benchmarks/bench_traces.py`` and ``benchmarks/bench_remote.py``
-through pytest-benchmark and writes the JSON results to
+Runs ``benchmarks/bench_substrate.py``, ``benchmarks/bench_service.py``
+and ``benchmarks/bench_traces.py`` through pytest-benchmark and writes the JSON results to
 ``BENCH_substrate.json`` at the repo root — the committed perf
 trajectory future changes are compared against (the batched-kernel
 acceptance bar was ">= 2x over the recorded
@@ -40,7 +39,6 @@ def run_benchmarks(out: Path, keyword: str | None) -> int:
         str(REPO_ROOT / "benchmarks" / "bench_substrate.py"),
         str(REPO_ROOT / "benchmarks" / "bench_service.py"),
         str(REPO_ROOT / "benchmarks" / "bench_traces.py"),
-        str(REPO_ROOT / "benchmarks" / "bench_remote.py"),
         "-q",
         "--benchmark-only",
         f"--benchmark-json={out}",

@@ -21,11 +21,9 @@ The historical flat forms keep working — a bare experiment name implies
 
 Simulations go through the execution engine: benchmark jobs fan out over
 worker processes (``--jobs`` / ``REPRO_JOBS``) on a supervised backend
-(``--backend`` / ``REPRO_BACKEND``: ``remote`` workers on peer hosts
-(``--hosts`` / ``REPRO_HOSTS``, connect/result deadlines via
-``REPRO_REMOTE_CONNECT_TIMEOUT`` / ``REPRO_REMOTE_DEADLINE``) degrade to
-the local ``pool``, which degrades to ``subprocess`` workers and then
-``serial``, so a run always completes), failed or
+(``--backend`` / ``REPRO_BACKEND``: the ``pool`` degrades to
+``subprocess`` workers and then ``serial``, so a run always
+completes), failed or
 timed-out jobs are retried per job with deterministic backoff
 (``REPRO_RETRIES`` / ``REPRO_RETRY_DELAY``), every fresh result passes
 an invariant-validation gate before caching, results are cached on disk
@@ -210,16 +208,8 @@ def _add_run_parser(commands) -> None:
         choices=BACKEND_NAMES,
         default=None,
         help="primary execution backend (default: REPRO_BACKEND or 'pool'); "
-        "remote degrades to pool, pool to subprocess workers and then "
-        "serial, so a run always completes",
-    )
-    run.add_argument(
-        "--hosts",
-        default=None,
-        metavar="HOSTS",
-        help="comma-separated remote hosts for --backend remote "
-        "(default: REPRO_HOSTS): 'exec[:label]' loopback fakes or "
-        "'[ssh:][user@]host[:dir]' SSH peers",
+        "pool degrades to subprocess workers and then serial, so a run "
+        "always completes",
     )
     run.add_argument(
         "--kernel",
@@ -374,11 +364,6 @@ def _add_sweep_parser(commands) -> None:
         help="primary execution backend for this shard "
         "(default: REPRO_BACKEND or 'pool')",
     )
-    run.add_argument(
-        "--hosts", default=None, metavar="HOSTS",
-        help="comma-separated remote hosts for --backend remote "
-        "(default: REPRO_HOSTS)",
-    )
     run.set_defaults(handler=sweep_run_command)
 
     status = verbs.add_parser(
@@ -405,11 +390,6 @@ def _add_sweep_parser(commands) -> None:
     merge.add_argument(
         "--backend", choices=BACKEND_NAMES, default=None,
         help="primary execution backend for any remaining simulations",
-    )
-    merge.add_argument(
-        "--hosts", default=None, metavar="HOSTS",
-        help="comma-separated remote hosts for --backend remote "
-        "(default: REPRO_HOSTS)",
     )
     merge.add_argument(
         "--output", default=None, metavar="FILE",
@@ -1090,7 +1070,6 @@ def run_command(args) -> int:
             journal=journal,
             resume=args.resume is not None,
             backend=args.backend,
-            hosts=args.hosts,
         )
         suite = SuiteRunner(scale=args.scale, benchmarks=benchmarks, engine=engine)
         if args.experiment == "all":
@@ -1182,7 +1161,6 @@ def sweep_run_command(args) -> int:
             assignment,
             jobs=args.jobs,
             backend=args.backend,
-            hosts=args.hosts,
         )
     except ReproError as error:
         return _fail(str(error))
@@ -1214,9 +1192,7 @@ def sweep_status_command(args) -> int:
 def sweep_merge_command(args) -> int:
     try:
         spec = _spec_from_args(args)
-        outcome = sweep_merge(
-            spec, jobs=args.jobs, backend=args.backend, hosts=args.hosts
-        )
+        outcome = sweep_merge(spec, jobs=args.jobs, backend=args.backend)
     except ReproError as error:
         return _fail(str(error))
     print(outcome.report)

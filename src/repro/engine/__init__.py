@@ -5,10 +5,8 @@ name deterministic simulation points; :class:`ExecutionEngine`
 (:mod:`~repro.engine.parallel`) resolves them through a content-addressed
 on-disk cache (:mod:`~repro.engine.store`) and a supervised backend
 chain (:mod:`~repro.engine.backends`,
-:mod:`~repro.engine.supervise`): optionally remote hosts over SSH or a
-loopback exec transport (:mod:`~repro.engine.remote`), then the
-worker-process pool, then heartbeat-watched subprocess workers, then
-in-process serial execution,
+:mod:`~repro.engine.supervise`): the worker-process pool, then
+heartbeat-watched subprocess workers, then in-process serial execution,
 with per-job retry (:mod:`~repro.engine.retry`), per-backend circuit
 breakers, an invariant-validation gate on every fresh result
 (:mod:`~repro.engine.validate`), crash-safe run checkpoints
@@ -28,6 +26,7 @@ Quickstart::
 """
 
 from .backends import (
+    BACKEND_CHAINS,
     BACKEND_NAMES,
     ENV_BACKEND,
     ENV_HEARTBEAT,
@@ -65,8 +64,6 @@ from .jobs import (
     SOURCE_CACHED,
     SOURCE_FALLBACK,
     SOURCE_PARALLEL,
-    SOURCE_REMOTE,
-    SOURCE_REMOTE_FALLBACK,
     SOURCE_SERIAL,
     SOURCE_SUBPROCESS,
     SOURCE_SUBPROCESS_FALLBACK,
@@ -79,17 +76,6 @@ from .parallel import (
     EngineFleet,
     ExecutionEngine,
     resolve_worker_count,
-)
-from .remote import (
-    ENV_HOSTS,
-    ENV_REMOTE_CONNECT_TIMEOUT,
-    ENV_REMOTE_DEADLINE,
-    ENV_REMOTE_FETCH,
-    HostSpec,
-    RemoteBackend,
-    default_connect_timeout,
-    default_remote_deadline,
-    parse_hosts,
 )
 from .retry import (
     ENV_RETRIES,
@@ -116,7 +102,6 @@ from .supervise import (
     ENV_BREAKER_COOLDOWN,
     ENV_BREAKER_THRESHOLD,
     CircuitBreaker,
-    FlapCounter,
     Supervisor,
     default_breaker_cooldown,
     default_breaker_threshold,
@@ -126,6 +111,7 @@ from .telemetry import MANIFEST_VERSION, JobRecord, RunTelemetry, Stopwatch
 from .validate import InvalidResultError, check_result
 
 __all__ = [
+    "BACKEND_CHAINS",
     "BACKEND_NAMES",
     "CRASH_EXIT_CODE",
     "CircuitBreaker",
@@ -137,12 +123,8 @@ __all__ = [
     "ENV_CACHE_MAX_MB",
     "ENV_FAULTS",
     "ENV_HEARTBEAT",
-    "ENV_HOSTS",
     "ENV_JOBS",
     "ENV_JOB_TIMEOUT",
-    "ENV_REMOTE_CONNECT_TIMEOUT",
-    "ENV_REMOTE_DEADLINE",
-    "ENV_REMOTE_FETCH",
     "ENV_RETRIES",
     "ENV_RETRY_DELAY",
     "ENV_WATCHDOG",
@@ -151,8 +133,6 @@ __all__ = [
     "FLAP_EXIT_CODE",
     "FaultPlan",
     "FaultSpec",
-    "FlapCounter",
-    "HostSpec",
     "InjectedFault",
     "InvalidResultError",
     "JobOutcome",
@@ -161,7 +141,6 @@ __all__ = [
     "NullStore",
     "PoolBackend",
     "PoolReport",
-    "RemoteBackend",
     "ResultStore",
     "RUNS_SUBDIR",
     "RunJournal",
@@ -171,8 +150,6 @@ __all__ = [
     "SOURCE_CACHED",
     "SOURCE_FALLBACK",
     "SOURCE_PARALLEL",
-    "SOURCE_REMOTE",
-    "SOURCE_REMOTE_FALLBACK",
     "SOURCE_SERIAL",
     "SOURCE_SUBPROCESS",
     "SOURCE_SUBPROCESS_FALLBACK",
@@ -194,14 +171,12 @@ __all__ = [
     "default_connect_timeout",
     "default_heartbeat_interval",
     "default_job_timeout",
-    "default_remote_deadline",
     "default_retry_policy",
     "default_watchdog",
     "execute_job",
     "iter_run_manifests",
     "merge_breaker_snapshots",
     "parse_fault_plan",
-    "parse_hosts",
     "resolve_backend_name",
     "resolve_cache_dir",
     "resolve_cache_limit",

@@ -18,19 +18,10 @@ degrades gracefully instead of failing:
     ``REPRO_HEARTBEAT`` seconds, so the backend detects a hung or dead
     worker *independently of any job timeout*, kills exactly that
     process, requeues its job through the retry backoff, and respawns a
-    replacement.  The stepping stone to remote workers.
-``remote``
-    the same frame protocol shipped to peer hosts
-    (:mod:`~repro.engine.remote`): SSH or loopback ``exec`` transports,
-    per-host circuit breakers and heartbeat watchdogs, digest-verified
-    trace fetch.  Degrades through ``pool`` then ``subprocess``.
+    replacement.
 ``serial``
     no chain at all — the engine's in-process executor runs every job.
     Always available, and always the terminal fallback of the others.
-
-Run with ``python -m repro.engine.backends --worker`` on a remote host
-(or from the loopback ``exec`` transport) to enter the remote worker
-loop; see :func:`repro.engine.remote.worker_main`.
 
 Every backend runs the same deterministic
 :func:`~repro.engine.jobs.execute_job`, so results are bit-identical
@@ -75,10 +66,17 @@ ENV_HEARTBEAT = "REPRO_HEARTBEAT"
 #: declares a worker hung.  0 or unset leaves each backend's default.
 ENV_WATCHDOG = "REPRO_WATCHDOG"
 
-#: Valid ``--backend`` / ``REPRO_BACKEND`` values.  ``remote`` sits at
-#: the top of the full degradation ladder (remote -> pool -> subprocess
-#: -> serial); the rest are listed in their own degradation order.
-BACKEND_NAMES = ("remote", "pool", "subprocess", "serial")
+#: The degradation chain each primary backend choice builds, in
+#: dispatch order.  The engine's in-process serial executor always runs
+#: after the chain, so the full ladder is pool -> subprocess -> serial.
+BACKEND_CHAINS: Dict[str, Tuple[str, ...]] = {
+    "pool": ("pool", "subprocess"),
+    "subprocess": ("subprocess",),
+    "serial": (),
+}
+
+#: Valid ``--backend`` / ``REPRO_BACKEND`` values, in degradation order.
+BACKEND_NAMES = tuple(BACKEND_CHAINS)
 
 #: Grace period for a worker to exit after the "exit" frame.
 _EXIT_GRACE_SECONDS = 0.5
@@ -567,53 +565,19 @@ def build_chain(
     timeout: Optional[float] = None,
     heartbeat: Optional[float] = None,
     watchdog: Optional[float] = None,
-    hosts: Optional[Sequence[object]] = None,
 ) -> List[WorkerBackend]:
     """The degradation chain for a primary backend choice.
 
-    ``remote`` degrades through ``pool`` then ``subprocess``; ``pool``
-    degrades through ``subprocess``; ``subprocess`` stands alone;
-    ``serial`` is the empty chain.  The engine's in-process serial
-    executor is always the terminal stage after the chain.  ``hosts``
-    (parsed :class:`~repro.engine.remote.HostSpec` entries) is required
-    for — and only consulted by — the remote rung.
+    One backend per rung of :data:`BACKEND_CHAINS`: ``pool`` degrades
+    through ``subprocess``; ``subprocess`` stands alone; ``serial`` is
+    the empty chain.  The engine's in-process serial executor is always
+    the terminal stage after the chain.
     """
+    rungs = {
+        "pool": lambda: PoolBackend(max_workers, timeout, watchdog=watchdog),
+        "subprocess": lambda: SubprocessBackend(
+            max_workers, timeout, heartbeat=heartbeat, watchdog=watchdog
+        ),
+    }
     name = resolve_backend_name(name)
-    if name == "serial":
-        return []
-    subprocess_backend = SubprocessBackend(
-        max_workers, timeout, heartbeat=heartbeat, watchdog=watchdog
-    )
-    if name == "subprocess":
-        return [subprocess_backend]
-    pool_backend = PoolBackend(max_workers, timeout, watchdog=watchdog)
-    if name == "pool":
-        return [pool_backend, subprocess_backend]
-    from .remote import ENV_HOSTS, RemoteBackend
-
-    if not hosts:
-        raise EngineError(
-            "the remote backend needs at least one host "
-            f"(--hosts / {ENV_HOSTS})"
-        )
-    remote_backend = RemoteBackend(
-        hosts, timeout, heartbeat=heartbeat, watchdog=watchdog
-    )
-    return [remote_backend, pool_backend, subprocess_backend]
-
-
-if __name__ == "__main__":  # pragma: no cover — exercised over pipes
-    import argparse as _argparse
-
-    _parser = _argparse.ArgumentParser(prog="repro.engine.backends")
-    _parser.add_argument(
-        "--worker",
-        action="store_true",
-        help="run the remote worker loop over stdin/stdout frames",
-    )
-    _options, _rest = _parser.parse_known_args()
-    if not _options.worker:
-        _parser.error("only --worker mode is runnable; see repro.engine.remote")
-    from .remote import worker_main
-
-    sys.exit(worker_main(_rest))
+    return [rungs[rung]() for rung in BACKEND_CHAINS[name]]

@@ -24,10 +24,10 @@ sweep (:mod:`repro.sweep`) roots one :class:`RunJournal` per shard under
 several hosts pointed at the same cache directory each append to their
 own journal while ``sweep status``/``sweep merge`` read the union.
 Journal entries are keyed by the job's content address, which is
-backend-agnostic — a run checkpointed on the remote backend resumes
-cleanly on any rung of the degradation ladder (and vice versa), and its
-manifest carries the ``fault_domains`` profile of whichever rungs
-actually ran whenever a host ran work or a dispatch descended a rung.
+backend-agnostic — a run checkpointed on one backend resumes cleanly on
+any rung of the pool -> subprocess -> serial ladder, and its manifest
+carries the ``fault_domains`` profile of whichever rungs actually ran
+whenever a dispatch descended a rung.
 
 Journal I/O failures (read-only disk, quota) are swallowed: a run that
 cannot checkpoint still completes, it just cannot be resumed.

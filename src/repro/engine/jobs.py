@@ -39,8 +39,6 @@ SOURCE_SERIAL = "serial"
 SOURCE_FALLBACK = "serial-fallback"
 SOURCE_SUBPROCESS = "subprocess"
 SOURCE_SUBPROCESS_FALLBACK = "subprocess-fallback"
-SOURCE_REMOTE = "remote"
-SOURCE_REMOTE_FALLBACK = "remote-fallback"
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,6 @@ from .jobs import (
     SimulationJob,
     execute_job,
 )
-from .remote import parse_hosts
 from .retry import RetryPolicy, default_retry_policy
 from .robustness import default_job_timeout
 from .store import ResultStore
@@ -103,7 +102,6 @@ class ExecutionEngine:
         journal: Optional[RunJournal] = None,
         resume: bool = False,
         backend: Optional[str] = None,
-        hosts: Optional[str] = None,
     ) -> None:
         self.max_workers = resolve_worker_count(jobs)
         self.store = store if store is not None else ResultStore()
@@ -112,16 +110,12 @@ class ExecutionEngine:
         self.retry = retry if retry is not None else default_retry_policy()
         self.faults = faults if faults is not None else active_plan()
         self.backend = resolve_backend_name(backend)
-        self.hosts = (
-            parse_hosts(hosts) if self.backend == "remote" else []
-        )
         self.supervisor = Supervisor(
             build_chain(
                 self.backend,
                 self.max_workers,
                 self.timeout,
                 watchdog=default_watchdog(),
-                hosts=self.hosts,
             ),
             self.retry,
         )
@@ -139,7 +133,6 @@ class ExecutionEngine:
                 "max_workers": self.max_workers,
                 "backend": self.backend,
                 "backend_chain": self.supervisor.describe_chain() + ["serial"],
-                "hosts": [spec.describe() for spec in self.hosts],
                 "cache_dir": self.store.describe(),
                 "timeout_seconds": self.timeout,
                 "retry": self.retry.describe(),
@@ -321,10 +314,9 @@ class ExecutionEngine:
                 self._commit(job, annotated)
         finally:
             self.telemetry.record_breakers(self.supervisor.snapshot())
-            if dispatch.hosts or dispatch.descents or dispatch.rungs_used:
+            if dispatch.descents or dispatch.rungs_used:
                 self.telemetry.record_fault_domains(
                     {
-                        "hosts": dispatch.hosts,
                         "ladder": dispatch.descents,
                         "rungs_used": dispatch.rungs_used,
                         "final_rung": (
@@ -434,7 +426,6 @@ class EngineFleet:
         timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
-        hosts: Optional[str] = None,
     ) -> None:
         if slots < 1:
             raise EngineError(f"fleet slots must be at least 1, got {slots!r}")
@@ -445,7 +436,6 @@ class EngineFleet:
         self.timeout = timeout
         self.retry = retry
         self.faults = faults
-        self.hosts = hosts
         self._idle: List[ExecutionEngine] = []
         self._all: List[ExecutionEngine] = []
         self._lock = threading.Lock()
@@ -459,7 +449,6 @@ class EngineFleet:
             timeout=self.timeout,
             retry=self.retry,
             faults=self.faults,
-            hosts=self.hosts,
         )
 
     def acquire(self) -> ExecutionEngine:

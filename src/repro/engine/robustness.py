@@ -118,9 +118,6 @@ class PoolReport:
     exhausted: List[SimulationJob] = field(default_factory=list)
     infra_failures: List[str] = field(default_factory=list)
     heartbeats: List[Dict] = field(default_factory=list)
-    #: Per-host fault-domain counters from host-aware backends (the
-    #: remote backend), keyed by host name; empty for local backends.
-    hosts: Dict[str, Dict] = field(default_factory=dict)
 
 
 def attempt_parallel(

@@ -131,34 +131,20 @@ class ResultStore:
         """Where recorded traces and SimPoint plans live."""
         return self.directory / TRACES_SUBDIR
 
-    @property
-    def staging_dir(self) -> Path:
-        """Where remote workers stage digest-fetched traces.
-
-        Sibling of :attr:`traces_dir` under the cache root (see
-        :mod:`repro.traces.fetch`); counted as trace usage so staged
-        fetches are charged against ``REPRO_CACHE_MAX_MB`` like every
-        other trace artifact.
-        """
-        from ..traces.fetch import STAGING_SUBDIR
-
-        return self.directory / STAGING_SUBDIR
-
     def _trace_usage(self) -> tuple:
-        """(file count, total bytes) of trace artifacts under the cache.
+        """(file count, total bytes) of recorded traces under ``traces/``.
 
-        Covers both recorded traces (``traces/``) and the remote
-        trace-fetch staging directory (``remote-staging/``): both are
-        derived artifacts living in the cache's budget envelope.
+        Traces are derived artifacts living in the cache's budget
+        envelope.
         """
         files = 0
         total = 0
-        candidates = []
-        for root in (self.traces_dir, self.staging_dir):
-            try:
-                candidates.extend(p for p in root.rglob("*") if p.is_file())
-            except OSError:
-                continue
+        try:
+            candidates = [
+                p for p in self.traces_dir.rglob("*") if p.is_file()
+            ]
+        except OSError:
+            candidates = []
         for path in candidates:
             try:
                 total += path.stat().st_size

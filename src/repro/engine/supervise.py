@@ -70,10 +70,7 @@ _MAX_REOPEN_SHIFT = 6
 class CircuitBreaker:
     """Closed -> open -> half-open failure gate for one backend.
 
-    ``clock`` defaults to wall time; the remote backend passes a
-    per-host dispatch-opportunity counter instead, which makes probe
-    scheduling deterministic (the Nth opportunity probes, whatever the
-    wall clock did in between).
+    ``clock`` defaults to wall time; tests substitute a fake clock.
 
     A single successful half-open probe closes the breaker and resets
     the backoff schedule.  A *failed* probe re-opens it with the next
@@ -160,52 +157,6 @@ class CircuitBreaker:
                 self._move("closed", "dispatch completed cleanly")
 
 
-class FlapCounter:
-    """Flap tally that halves after every clean quiet period.
-
-    The subprocess and remote watchdogs count worker/host flaps (hard
-    deaths) to decide when a fault domain is too sick to keep feeding.
-    A plain monotone counter would let one early flap bias a long run
-    toward quarantine forever; this counter instead halves for every
-    ``decay_after`` seconds that pass without a new flap, so only
-    *sustained* flapping accumulates.
-    """
-
-    def __init__(self, decay_after: float, clock=time.monotonic) -> None:
-        if decay_after < 0:
-            raise ValueError(
-                f"decay_after must be non-negative, got {decay_after!r}"
-            )
-        self.decay_after = decay_after
-        self.clock = clock
-        self._count = 0
-        self._last_flap: Optional[float] = None
-
-    def _decay(self) -> None:
-        if self._last_flap is None or self.decay_after <= 0:
-            return
-        elapsed = self.clock() - self._last_flap
-        periods = int(elapsed // self.decay_after)
-        if periods <= 0:
-            return
-        # Halve once per fully elapsed quiet period; advance the anchor
-        # by the consumed periods so partial periods keep accumulating.
-        self._count >>= min(periods, self._count.bit_length())
-        self._last_flap += periods * self.decay_after
-
-    def record(self) -> int:
-        """Count one flap; returns the post-decay running value."""
-        self._decay()
-        self._count += 1
-        self._last_flap = self.clock()
-        return self._count
-
-    def value(self) -> int:
-        """The current (decayed) flap count."""
-        self._decay()
-        return self._count
-
-
 @dataclass(frozen=True)
 class Completion:
     """One job completed by a supervised backend."""
@@ -237,9 +188,6 @@ class SupervisionOutcome:
     descents: List[Dict] = field(default_factory=list)
     #: Rungs that actually completed at least one job, dispatch order.
     rungs_used: List[str] = field(default_factory=list)
-    #: Per-host fault-domain counters reported by host-aware backends
-    #: (the remote backend), keyed by host name.
-    hosts: Dict[str, Dict] = field(default_factory=dict)
 
 
 class Supervisor:
@@ -326,17 +274,6 @@ class Supervisor:
             out.notes.extend(report.notes)
             out.retries.extend(report.retries)
             out.heartbeats.extend(report.heartbeats)
-            for host, counters in getattr(report, "hosts", {}).items():
-                merged = out.hosts.setdefault(host, {})
-                for field_name, value in counters.items():
-                    if isinstance(value, list):
-                        merged.setdefault(field_name, []).extend(value)
-                    elif isinstance(value, (int, float)):
-                        merged[field_name] = (
-                            merged.get(field_name, 0) + value
-                        )
-                    else:
-                        merged[field_name] = value
             breaker.record(report.infra_failures)
             if report.completed:
                 out.rungs_used.append(backend.name)

@@ -58,8 +58,12 @@ from .jobs import SOURCE_CACHED, JobOutcome
 #: daemon recorded them, ``heartbeats`` only when non-empty, and
 #: ``fault_domains`` only when a host-aware backend ran or a dispatch
 #: descended a rung, and ``substrate`` keeps only the kernel mode and
-#: residual implementation (its two trace-dispatch keys are gone).
-MANIFEST_VERSION = 10
+#: residual implementation (its two trace-dispatch keys are gone);
+#: version 11 drops the remote backend: ``context`` loses ``hosts``, and
+#: ``fault_domains`` keeps only ``ladder``, ``rungs_used`` and
+#: ``final_rung`` (no per-host counters), written only when a dispatch
+#: descended a rung of the local pool -> subprocess -> serial ladder.
+MANIFEST_VERSION = 11
 
 
 class Stopwatch:
@@ -139,10 +143,9 @@ class RunTelemetry:
     #: The run's simulation substrate (manifest v8): resolved kernel
     #: mode and residual implementation.
     substrate: Dict = field(default_factory=dict)
-    #: The ``FaultDomainProfile`` of a remote-capable run (manifest v9):
-    #: per-host counters and breaker transitions, ladder descents, rungs
-    #: used and the final rung.  Left out of the manifest unless a host
-    #: reported counters or a dispatch descended a rung.
+    #: The ``FaultDomainProfile`` (manifest v11): ladder descents, rungs
+    #: used and the final rung.  Left out of the manifest unless a
+    #: dispatch descended a rung.
     fault_domains: Dict = field(default_factory=dict)
     #: Live event observers (not part of the manifest).
     observers: List[Callable] = field(default_factory=list, repr=False)
@@ -282,27 +285,14 @@ class RunTelemetry:
         self.coordination = dict(profile)
 
     def record_fault_domains(self, profile: Dict) -> None:
-        """Merge one dispatch's ``FaultDomainProfile`` (manifest v9).
+        """Merge one dispatch's ``FaultDomainProfile`` (manifest v11).
 
         The engine records a profile per dispatch that touched the
-        ladder; a run of several dispatches therefore *merges*: host
-        counters add (lists extend), ladder descents and used rungs
-        append in dispatch order, and the final rung reflects the most
-        recent dispatch that completed work.
+        ladder; a run of several dispatches therefore *merges*: ladder
+        descents and used rungs append in dispatch order, and the final
+        rung reflects the most recent dispatch that completed work.
         """
         with self._lock:
-            hosts = self.fault_domains.setdefault("hosts", {})
-            for host, counters in profile.get("hosts", {}).items():
-                merged = hosts.setdefault(host, {})
-                for key, value in counters.items():
-                    if isinstance(value, list):
-                        merged.setdefault(key, []).extend(value)
-                    elif isinstance(value, bool):
-                        merged[key] = value
-                    elif isinstance(value, (int, float)):
-                        merged[key] = merged.get(key, 0) + value
-                    else:
-                        merged[key] = value
             self.fault_domains.setdefault("ladder", []).extend(
                 dict(d) for d in profile.get("ladder", [])
             )
@@ -491,7 +481,7 @@ class RunTelemetry:
             manifest["service"] = dict(self.service)
         if self.coordination:
             manifest["coordination"] = dict(self.coordination)
-        if self.fault_domains.get("hosts") or self.fault_domains.get("ladder"):
+        if self.fault_domains.get("ladder"):
             manifest["fault_domains"] = dict(self.fault_domains)
         return manifest
 

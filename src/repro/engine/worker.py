@@ -2,8 +2,7 @@
 
 The subprocess backend (:mod:`~repro.engine.backends`) talks to each
 worker over its stdin/stdout pipes using a tiny length-prefixed frame
-protocol — the stepping stone to remote workers, where the same frames
-would flow over a socket::
+protocol::
 
     frame   := length(4 bytes, big-endian) || pickle((kind, payload))
     to worker   : ("job", (SimulationJob, attempt)) | ("exit", None)

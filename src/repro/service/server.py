@@ -73,6 +73,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..engine import (
+    BACKEND_CHAINS,
     EngineFleet,
     ResultStore,
     SimulationJob,
@@ -993,12 +994,8 @@ class ServiceDaemon:
         }
 
     def _backend_chain(self) -> List[str]:
-        engines = self.fleet.engines
-        if engines:
-            return engines[0].supervisor.describe_chain() + ["serial"]
-        # No slot has run yet: derive the chain a slot would build.
-        chain = {"pool": ["pool", "subprocess"], "subprocess": ["subprocess"]}
-        return chain.get(self.backend, []) + ["serial"]
+        # The ladder every slot builds, whether or not one exists yet.
+        return list(BACKEND_CHAINS[self.backend]) + ["serial"]
 
     def service_profile(self) -> Dict:
         """The ``ServiceProfile`` manifest section (since v6)."""

@@ -104,7 +104,6 @@ def run_shard(
     jobs: Optional[int] = None,
     cache_dir: Optional[os.PathLike] = None,
     backend: Optional[str] = None,
-    hosts: Optional[str] = None,
 ) -> ShardRun:
     """Run one shard of the sweep through the execution engine.
 
@@ -124,7 +123,6 @@ def run_shard(
         journal=journal,
         resume=resumed,
         backend=backend,
-        hosts=hosts,
     )
     engine.telemetry.context.update(
         {
@@ -197,7 +195,6 @@ def merge(
     cache_dir: Optional[os.PathLike] = None,
     backend: Optional[str] = None,
     engine: Optional[ExecutionEngine] = None,
-    hosts: Optional[str] = None,
 ) -> MergeOutcome:
     """Aggregate every shard's results into the sweep report + manifest.
 
@@ -219,7 +216,6 @@ def merge(
             jobs=jobs,
             store=_store_for(cache_dir),
             backend=backend,
-            hosts=hosts,
         )
     results = collect(spec, engine=engine)
     report = render_report(results)

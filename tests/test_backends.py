@@ -79,10 +79,6 @@ def isolated_env(tmp_path, monkeypatch):
         "REPRO_WATCHDOG",
         "REPRO_BREAKER_THRESHOLD",
         "REPRO_BREAKER_COOLDOWN",
-        "REPRO_HOSTS",
-        "REPRO_REMOTE_CONNECT_TIMEOUT",
-        "REPRO_REMOTE_DEADLINE",
-        "REPRO_REMOTE_FETCH",
     ):
         monkeypatch.delenv(var, raising=False)
     return tmp_path
@@ -119,6 +115,8 @@ class TestBackendSelection:
     def test_invalid_backend_rejected(self, monkeypatch):
         with pytest.raises(EngineError, match="REPRO_BACKEND"):
             resolve_backend_name("quantum")
+        with pytest.raises(EngineError, match="'remote'"):
+            resolve_backend_name("remote")
         monkeypatch.setenv("REPRO_BACKEND", "cloud")
         with pytest.raises(EngineError, match="cloud"):
             ExecutionEngine(jobs=1, store=NullStore())
@@ -235,6 +233,49 @@ class TestCircuitBreaker:
         breaker.record(["still dying"])
         assert breaker.state == "open"
         assert "probe failed" in breaker.transitions[-1]["reason"]
+
+
+class TestBreakerBackoffEscalation:
+    def test_failed_probe_escalates_instead_of_resetting(self):
+        clock = {"now": 0.0}
+        breaker = CircuitBreaker(
+            "b", threshold=2, cooldown=10.0, clock=lambda: clock["now"]
+        )
+        breaker.record(["boom"])
+        breaker.record(["boom"])
+        assert breaker.state == "open"
+        assert breaker.current_cooldown() == 10.0
+        clock["now"] = 10.0
+        assert breaker.allow()  # half-open probe
+        assert breaker.state == "half-open"
+        breaker.record(["still broken"])  # failed probe
+        assert breaker.state == "open"
+        # The next wait is the *next* backoff step, not the base again.
+        assert breaker.current_cooldown() == 20.0
+        clock["now"] = 20.0
+        assert not breaker.allow()  # base cooldown is no longer enough
+        clock["now"] = 30.0
+        assert breaker.allow()
+        breaker.record(["worse"])
+        assert breaker.current_cooldown() == 40.0
+        # A successful probe closes in one step and resets the schedule.
+        clock["now"] = 70.0
+        assert breaker.allow()
+        breaker.record([])
+        assert breaker.state == "closed"
+        assert breaker.current_cooldown() == 10.0
+
+    def test_backoff_exponent_is_capped(self):
+        clock = {"now": 0.0}
+        breaker = CircuitBreaker(
+            "b", threshold=1, cooldown=1.0, clock=lambda: clock["now"]
+        )
+        breaker.record(["boom"])
+        for _ in range(10):
+            clock["now"] += breaker.current_cooldown()
+            assert breaker.allow()
+            breaker.record(["boom"])
+        assert breaker.current_cooldown() == 2.0**6
 
 
 class _ScriptedBackend(WorkerBackend):

@@ -310,16 +310,42 @@ class TestTelemetry:
         for section in ("service", "coordination", "heartbeats", "fault_domains"):
             assert section not in manifest
 
+    def test_forced_descent_writes_the_local_ladder(self, monkeypatch):
+        """A pool that strands its jobs descends to the subprocess rung;
+        ``fault_domains`` records that local ladder and nothing else."""
+        import repro.engine.robustness as robustness_module
+        from repro.engine import PoolReport
+
+        def broken_pool(
+            jobs, max_workers, timeout, worker=None, policy=None, **kwargs
+        ):
+            return PoolReport(
+                leftovers=list(jobs),
+                infra_failures=["worker pool failed to start (test)"],
+            )
+
+        monkeypatch.setattr(robustness_module, "attempt_parallel", broken_pool)
+        engine = ExecutionEngine(jobs=2, store=NullStore(), backend="pool")
+        engine.run(small_jobs())
+        domains = engine.telemetry.manifest()["fault_domains"]
+        assert set(domains) == {"ladder", "rungs_used", "final_rung"}
+        assert [(d["from"], d["to"]) for d in domains["ladder"]] == [
+            ("pool", "subprocess")
+        ]
+        assert domains["rungs_used"] == ["subprocess"]
+        assert domains["final_rung"] == "subprocess"
+
     def test_manifest_schema(self, warm_store, tmp_path):
         directory, _ = warm_store
         engine = ExecutionEngine(jobs=2, store=ResultStore(directory))
         engine.run(small_jobs())
         path = engine.telemetry.write_manifest(tmp_path / "manifest.json")
         manifest = json.loads(open(path, encoding="utf-8").read())
-        assert manifest["manifest_version"] == MANIFEST_VERSION == 10
-        # A plain CLI-style run: no daemon, no watchdog event, no host.
+        assert manifest["manifest_version"] == MANIFEST_VERSION == 11
+        # A plain CLI-style run: no daemon, no watchdog event, no descent.
         for section in ("service", "coordination", "heartbeats", "fault_domains"):
             assert section not in manifest
+        assert "hosts" not in manifest["engine"]
         substrate = manifest["substrate"]
         assert set(substrate) == {"kernel_mode", "residual_impl"}
         assert substrate["kernel_mode"] in ("scalar", "batched", "compiled")

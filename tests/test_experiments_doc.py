@@ -379,3 +379,107 @@ def test_figure8_prose_scheme_ordering_holds_per_benchmark():
         for benchmark in benchmarks:
             values = [float(cell("figure8", cache, benchmark, s)) for s in order]
             assert values == sorted(values, reverse=True), (cache, benchmark)
+
+
+# ----------------------------------------------------------------------
+# Prose: the Ablations bullet list.  Differences are taken in tenths of a
+# point, the report's printed precision, so no float rounding intrudes.
+# ----------------------------------------------------------------------
+def ablation_bullets():
+    """``{bold title: body}`` of the Ablations bullets, whitespace-normalised."""
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    section = text.split("\n## Ablations ", 1)[1].split("\n## ", 1)[0]
+    bullets = {}
+    for bullet in section.split("\n* ")[1:]:
+        title, body = re.match(r"\*\*(.+?)\*\*(.*)", bullet, re.S).groups()
+        bullets[title] = " ".join(body.replace("**", "").split())
+    return bullets
+
+
+def claim(pattern, body):
+    """The numbers one prose pattern captures; the pattern must match."""
+    match = re.search(pattern, body)
+    assert match, pattern
+    return match.groups()
+
+
+def tenths(text):
+    return round(float(text) * 10)
+
+
+def drops(base, values):
+    """Per-cache savings lost from ``base`` to ``values``, in tenths."""
+    return [tenths(b) - tenths(v) for b, v in zip(base, values)]
+
+
+def check_dead_intervals(body):
+    (stated,) = claim(
+        r"changes the hybrid limit by \+([\d.]+) points on both caches", body
+    )
+    _, rows = REPORT[("ablation_dead_intervals", None)]
+    for cache in ("icache", "dcache"):
+        uniform, dead_aware, delta = rows[cache]
+        assert tenths(dead_aware) - tenths(uniform) == tenths(delta)
+        assert tenths(delta) == tenths(stated), cache
+
+
+def check_ramps(body):
+    b_from, b_to, bound = claim(
+        r"moves b from (\d+) to (\d+) and the hybrid limit by ≤([\d.]+) points",
+        body,
+    )
+    _, rows = REPORT[("ablation_ramps", None)]
+    assert [rows["trapezoidal"][1], rows["step"][1]] == [b_from, b_to]
+    moves = [abs(d) for d in drops(rows["trapezoidal"][2:], rows["step"][2:])]
+    # The stated bound is the largest move, not merely above it.
+    assert max(moves) == tenths(bound), moves
+
+
+def check_decay_counter(body):
+    slope, unit, default, cost = claim(
+        r"loses ~(\d+) point per (\d+) % of always-on counter leakage; "
+        r"the ([\d.]+) % default costs ([\d.]+) points",
+        body,
+    )
+    _, rows = REPORT[("ablation_decay_counter", None)]
+    base = rows["0.0%"]
+    for label, values in rows.items():
+        overhead = float(label.rstrip("%"))
+        for lost in drops(base, values) if overhead else []:
+            assert round(lost / 10 * float(unit) / overhead) == int(slope), label
+    assert drops(base, rows[f"{float(default):.1f}%"]) == [tenths(cost)] * 2
+
+
+def check_inflection(body):
+    near, percent, far, factor = claim(
+        r"the hybrid moves ≤([\d.]+) points under a (\d+) % threshold "
+        r"perturbation and only ~([\d.]+) points at (\d+)×b",
+        body,
+    )
+    _, rows = REPORT[("ablation_inflection", None)]
+
+    def row(multiple):
+        label = f"{multiple:.2f} x b"
+        return next(v for k, v in rows.items() if k.startswith(label))
+
+    assert max(drops(row(1.0), row(1 + int(percent) / 100))) == tenths(near)
+    # "~X" is the mean over both caches, rounded half up to a tenth.
+    lost = drops(row(1.0), row(float(factor)))
+    assert (2 * sum(lost) + len(lost)) // (2 * len(lost)) == tenths(far), lost
+
+
+ABLATION_CHECKERS = {
+    "Dead intervals": check_dead_intervals,
+    "Ramp shape": check_ramps,
+    "Decay counter": check_decay_counter,
+    "Inflection perturbation": check_inflection,
+}
+
+
+def test_every_ablation_bullet_has_a_checker():
+    assert list(ablation_bullets()) == list(ABLATION_CHECKERS)
+
+
+@pytest.mark.parametrize("title", list(ABLATION_CHECKERS))
+def test_ablation_prose_matches_the_scale_1_report(title):
+    ABLATION_CHECKERS[title](ablation_bullets()[title])

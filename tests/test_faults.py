@@ -134,6 +134,7 @@ class TestFaultGrammar:
             "raise:gzip:attempt=0",  # attempt below 1
             "corrupt:gzip:attempt=1",  # attempt on a store fault
             "raise:gzip:times=2",  # times on a worker fault
+            "partition:left",  # network kinds no longer exist
             "  ,  ",  # empty plan
         ],
     )

@@ -17,7 +17,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.cli import EXIT_REJECTED, main
-from repro.engine import MANIFEST_VERSION, ExecutionEngine, ResultStore, SimulationJob
+from repro.engine import (
+    BACKEND_NAMES,
+    MANIFEST_VERSION,
+    ExecutionEngine,
+    ResultStore,
+    SimulationJob,
+)
 from repro.errors import ReproError
 from repro.service import (
     AdmissionFull,
@@ -313,6 +319,21 @@ class TestTickets:
         assert [e["event"] for e in ticket.payload(events_after=1)["events"]] == [
             "two"
         ]
+
+
+# ----------------------------------------------------------------------
+# Backend chain
+# ----------------------------------------------------------------------
+class TestBackendChain:
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_chain_before_first_slot_matches_a_slot(self, tmp_path, backend):
+        """The status document reports the same ladder before any slot
+        exists as a built slot's supervisor dispatches through."""
+        daemon = ServiceDaemon(service_config(tmp_path, backend=backend))
+        before = daemon.status_payload()["service"]["engine"]["chain"]
+        slot = daemon.fleet.acquire()
+        assert before == slot.supervisor.describe_chain() + ["serial"]
+        assert daemon.status_payload()["service"]["engine"]["chain"] == before
 
 
 # ----------------------------------------------------------------------
